@@ -166,8 +166,15 @@ if [[ $fast -eq 0 ]]; then
     cargo build --release
 fi
 
-echo "==> cargo test -q (tier-1; includes tests/conformance.rs = the lint gate)"
+echo "==> cargo test -q (tier-1: every workspace crate; includes tests/conformance.rs = the lint gate)"
 cargo test -q
+
+if [[ $fast -eq 0 ]]; then
+    # The benchmark harness is its own workspace, so tier-1 does not
+    # reach it; its tests pin the traced adversary to Adversary::run.
+    echo "==> benchmark harness tests (crates/bench/perfbench)"
+    cargo test --release --offline -q --manifest-path crates/bench/perfbench/Cargo.toml
+fi
 
 if [[ $fast -eq 0 ]]; then
     echo "==> perf baseline smoke (tiny configs; schema check; --jobs 1 vs --jobs 4)"

@@ -419,26 +419,35 @@ impl<T: Ord + Clone> RankEstimator<T> for CkmsSummary<T> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn invariant_and_mass_on_random_streams(xs in proptest::collection::vec(0u32..50_000, 1..1200)) {
+    const CASES: u32 = 32;
+
+    #[test]
+    fn invariant_and_mass_on_random_streams() {
+        check_cases(0x41, CASES, |rng| {
+            let xs: Vec<u32> = (0..1 + rng.index(1199))
+                .map(|_| rng.below(50_000) as u32)
+                .collect();
             let mut ck = CkmsSummary::new(0.05);
             for &x in &xs {
                 ck.insert(x);
             }
-            prop_assert!(ck.invariant_holds());
+            assert!(ck.invariant_holds());
             let mass: u64 = ck.tuples().iter().map(|t| t.g).sum();
-            prop_assert_eq!(mass, xs.len() as u64);
-        }
+            assert_eq!(mass, xs.len() as u64);
+        });
+    }
 
-        #[test]
-        fn biased_budget_respected_at_sampled_ranks(xs in proptest::collection::vec(0u32..10_000, 500..2500)) {
+    #[test]
+    fn biased_budget_respected_at_sampled_ranks() {
+        check_cases(0x42, CASES, |rng| {
+            let xs: Vec<u32> = (0..500 + rng.index(2000))
+                .map(|_| rng.below(10_000) as u32)
+                .collect();
             let eps = 0.05;
             let mut ck = CkmsSummary::new(eps);
             let mut sorted = xs.clone();
@@ -454,9 +463,9 @@ mod proptests {
                 let hi = sorted.partition_point(|&v| v <= ans) as u64;
                 let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
                 let budget = ((2.0 * eps * r as f64).ceil() as u64).max(3);
-                prop_assert!(err <= budget, "rank {r}: err {err} > {budget}");
+                assert!(err <= budget, "rank {r}: err {err} > {budget}");
             }
-        }
+        });
     }
 }
 

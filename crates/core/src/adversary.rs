@@ -60,22 +60,6 @@ pub struct NodeAudit {
     pub space_gap_rhs: f64,
 }
 
-/// How a leaf feeds its 2/ε-item run to the summaries.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum InsertMode {
-    /// One [`ComparisonSummary::insert_sorted_run`] call per leaf (the
-    /// runs are generated in increasing order), with the treap side
-    /// joined in bulk. The default; for a conforming summary the audits
-    /// are byte-identical to [`PerItem`](Self::PerItem).
-    #[default]
-    Batched,
-    /// One `insert` per item with a stored-size divergence probe after
-    /// each — the legacy path, kept for equivalence testing and for
-    /// pinpointing the exact stream position where a non-conforming
-    /// summary diverges.
-    PerItem,
-}
-
 /// The adversary: two live streams, two live summary copies, an audit
 /// trail.
 pub struct Adversary<S> {
@@ -85,7 +69,6 @@ pub struct Adversary<S> {
     audits: Vec<NodeAudit>,
     equivalence_error: Option<String>,
     tie_break: TieBreak,
-    insert_mode: InsertMode,
     gap_scratch: GapScratch,
     equiv: EquivalenceChecker,
     budget: AdversaryBudget,
@@ -432,7 +415,6 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             audits: Vec::new(),
             equivalence_error: None,
             tie_break: TieBreak::LowestIndex,
-            insert_mode: InsertMode::default(),
             gap_scratch: GapScratch::default(),
             equiv: EquivalenceChecker::new(),
             budget: AdversaryBudget::default(),
@@ -452,17 +434,9 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
         self
     }
 
-    /// Sets how leaves feed their runs to the summaries (see
-    /// [`InsertMode`]).
-    pub fn with_insert_mode(mut self, mode: InsertMode) -> Self {
-        self.insert_mode = mode;
-        self
-    }
-
     /// Sets the stream representation (see [`StreamRepr`]). Implicit
     /// streams keep memory sublinear in N — the billion-item
-    /// configuration — and require [`InsertMode::Batched`] (runs are
-    /// the unit of interval compression).
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -489,11 +463,6 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// outcome.
     pub fn run(mut self, k: u32) -> AdversaryOutcome<S> {
         assert!(k >= 1);
-        assert!(
-            !(self.repr() == StreamRepr::Implicit && self.insert_mode == InsertMode::PerItem),
-            "implicit streams require batched insertion (runs are the \
-             unit of interval compression)"
-        );
         self.reserve_streams(k);
         let whole = Interval::whole();
         self.adv(k, &whole, &whole);
@@ -521,11 +490,12 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// [`RankProbe`] data; classify it with
     /// [`AdversaryOutcome::verdict`].
     ///
-    /// Items are fed one at a time regardless of [`InsertMode`] so that
-    /// an abort is attributable to an exact 1-based stream step. For
-    /// summaries whose bulk path is byte-identical to per-item insertion
-    /// (GK, greedy GK, MRL — see `tests/faults_differential.rs`) the
-    /// construction matches [`run`](Self::run) exactly; summaries whose
+    /// Items are fed one at a time, where [`run`](Self::run) feeds each
+    /// leaf as one sorted run, so that an abort is attributable to an
+    /// exact 1-based stream step. For summaries whose bulk path is
+    /// byte-identical to per-item insertion (GK, greedy GK, MRL — see
+    /// `tests/faults_differential.rs` and `tests/batch_equivalence.rs`)
+    /// the construction matches [`run`](Self::run) exactly; summaries whose
     /// compaction timing depends on insertion granularity (KLL) may
     /// show slightly different gaps than a batched run.
     pub fn try_run(mut self, k: u32) -> Result<AdversaryOutcome<S>, AdversaryError> {
@@ -540,13 +510,6 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                     "stream length N_k = (1/{}) * 2^{k} does not fit in u64",
                     self.eps.inverse()
                 ),
-            });
-        }
-        if self.repr() == StreamRepr::Implicit && self.insert_mode == InsertMode::PerItem {
-            return Err(AdversaryError::InvalidConfig {
-                detail: "implicit streams require batched insertion (runs are the \
-                         unit of interval compression)"
-                    .to_string(),
             });
         }
         if let Some(max_depth) = self.budget.max_depth {
@@ -781,42 +744,16 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     fn leaf(&mut self, iv_pi: &Interval, iv_rho: &Interval) {
         let n = self.eps.leaf_items() as usize;
         let (items_pi, items_rho) = self.mint_leaf_runs(iv_pi, iv_rho, n);
-        match self.insert_mode {
-            InsertMode::Batched => {
-                self.pi.push_run_in(iv_pi, &items_pi);
-                self.rho.push_run_in(iv_rho, &items_rho);
-                self.check_size_divergence();
-            }
-            InsertMode::PerItem => {
-                for (a, b) in items_pi.into_iter().zip(items_rho) {
-                    self.pi.push(a);
-                    self.rho.push(b);
-                    // Cheap per-item probe; the full positional check
-                    // runs per leaf below.
-                    self.check_size_divergence();
-                }
-            }
-        }
+        self.pi.push_run_in(iv_pi, &items_pi);
+        self.rho.push_run_in(iv_rho, &items_rho);
         if self.equivalence_error.is_none() {
-            if let Err(e) = self.equiv.check(&self.pi, &self.rho) {
-                self.equivalence_error = Some(e);
-            }
+            self.equivalence_error = self
+                .size_divergence()
+                .or_else(|| self.equiv.check(&self.pi, &self.rho).err());
         }
     }
 
-    /// Records a stored-size divergence between the two summary copies —
-    /// short-circuits once an error is already latched, so the per-item
-    /// loop stops paying for the comparison after the first hit.
-    fn check_size_divergence(&mut self) {
-        if self.equivalence_error.is_some() {
-            return;
-        }
-        if let Some(e) = self.size_divergence() {
-            self.equivalence_error = Some(e);
-        }
-    }
-
-    /// The divergence probe itself: compares the two copies' stored
+    /// The stored-size divergence probe: compares the two copies' stored
     /// counts, describing any mismatch.
     fn size_divergence(&self) -> Option<String> {
         let (a, b) = (
@@ -1406,19 +1343,5 @@ mod tests {
                 .unwrap();
         assert_eq!(implicit.verdict(), RunVerdict::SummaryIncorrect);
         assert_eq!(implicit.report(), classic.report());
-    }
-
-    #[test]
-    fn implicit_rejects_per_item_insertion() {
-        let eps = Eps::from_inverse(8);
-        let err = Adversary::new(eps, ExactSummary::new(), ExactSummary::new())
-            .with_stream_repr(StreamRepr::Implicit)
-            .with_insert_mode(InsertMode::PerItem)
-            .try_run(3)
-            .unwrap_err();
-        assert!(
-            matches!(err, AdversaryError::InvalidConfig { .. }),
-            "expected InvalidConfig, got {err}"
-        );
     }
 }

@@ -61,8 +61,8 @@ pub mod median;
 pub mod merge;
 pub mod model;
 pub mod offline;
-#[cfg(feature = "proptest")]
-mod proptests;
+#[cfg(test)]
+mod properties;
 pub mod randomized;
 pub mod rank_estimation;
 pub mod reference;
@@ -73,8 +73,8 @@ pub mod state;
 
 pub use adversary::{
     run_lower_bound, try_run_adversary, try_run_adversary_repr, Adversary, AdversaryBudget,
-    AdversaryError, AdversaryOutcome, AdversaryReport, InsertMode, NodeAudit, PartialRun,
-    RankProbe, RunVerdict,
+    AdversaryError, AdversaryOutcome, AdversaryReport, NodeAudit, PartialRun, RankProbe,
+    RunVerdict,
 };
 pub use eps::Eps;
 pub use failure::{quantile_failure_witness, FailureWitness};

@@ -58,25 +58,23 @@ impl<T: Ord + Clone> OfflineSummary<T> {
     }
 
     /// Answers a rank query with the stored item of nearest selected
-    /// rank.
-    pub fn query_rank(&self, r: u64) -> &T {
+    /// rank (ties go to the higher rank); `None` only if nothing is
+    /// stored, which [`build`](Self::build) rules out.
+    pub fn query_rank(&self, r: u64) -> Option<&T> {
         let r = r.clamp(1, self.n);
         let idx = match self.ranks.binary_search(&r) {
             Ok(i) => i,
-            Err(i) => {
-                // Nearest of ranks[i−1], ranks[i].
-                if i == 0 {
-                    0
-                } else if i == self.ranks.len() {
-                    i - 1
-                } else if self.ranks[i] - r <= r - self.ranks[i - 1] {
-                    i
-                } else {
-                    i - 1
-                }
-            }
+            // Nearest of ranks[i−1], ranks[i], whichever exist.
+            Err(i) => match (
+                i.checked_sub(1).and_then(|j| self.ranks.get(j)),
+                self.ranks.get(i),
+            ) {
+                (Some(&lo), Some(&hi)) if r - lo < hi - r => i - 1,
+                (Some(_), None) => i - 1,
+                _ => i,
+            },
         };
-        &self.items[idx]
+        self.items.get(idx)
     }
 
     /// The stored rank actually returned for target `r` — used to verify
@@ -84,7 +82,7 @@ impl<T: Ord + Clone> OfflineSummary<T> {
     pub fn answered_rank(&self, r: u64) -> u64 {
         let r = r.clamp(1, self.n);
         let item_idx = {
-            let q = self.query_rank(r);
+            let q = self.query_rank(r).expect("build stores at least one item");
             self.items.iter().position(|x| x == q).expect("stored")
         };
         self.ranks[item_idx]

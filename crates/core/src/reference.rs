@@ -63,7 +63,7 @@ impl<T: Ord + Clone> ComparisonSummary<T> for ExactSummary<T> {
             return None;
         }
         let idx = (r.clamp(1, self.n) - 1) as usize;
-        Some(self.items[idx].clone())
+        self.items.get(idx).cloned()
     }
 
     fn name(&self) -> &'static str {
@@ -148,7 +148,7 @@ impl<T: Ord + Clone> ComparisonSummary<T> for DecimatedSummary<T> {
         // Best effort: pretend stored items are evenly spaced.
         let frac = (r.clamp(1, self.n) - 1) as f64 / (self.n.max(1) - 1).max(1) as f64;
         let idx = (frac * (self.items.len() - 1) as f64).round() as usize;
-        Some(self.items[idx].clone())
+        self.items.get(idx).cloned()
     }
 
     fn name(&self) -> &'static str {

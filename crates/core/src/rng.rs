@@ -14,6 +14,9 @@
 //! generators), small enough to carry in-tree so the workspace builds
 //! with zero external dependencies and no registry access.
 //!
+//! [`check_cases`] is the property-test loop built on it: fixed seeds,
+//! one generator per case, the failing case's seed in the panic.
+//!
 //! ```
 //! use cqs_core::rng::SplitMix64;
 //!
@@ -99,6 +102,45 @@ impl SplitMix64 {
     }
 }
 
+/// Runs a property `cases` times, each case on its own [`SplitMix64`]
+/// seeded from a stream keyed by `base_seed` — the workspace's offline,
+/// dependency-free property-test loop (no shrinking).
+///
+/// The case body draws its inputs from the generator it is handed and
+/// asserts with the ordinary `assert!` macros. When a case panics, the
+/// loop panics in turn with the case index and that case's seed, so the
+/// failure replays by running the body on `SplitMix64::new(seed)`.
+///
+/// ```
+/// use cqs_core::rng::check_cases;
+///
+/// check_cases(7, 16, |rng| {
+///     let x = rng.below(100);
+///     assert!(x < 100);
+/// });
+/// ```
+///
+/// # Panics
+///
+/// Panics if any case panics.
+pub fn check_cases(base_seed: u64, cases: u32, mut case: impl FnMut(&mut SplitMix64)) {
+    let mut seeds = SplitMix64::new(base_seed);
+    for index in 0..cases {
+        let seed = seeds.next_u64();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            case(&mut SplitMix64::new(seed))
+        }));
+        if let Err(payload) = outcome {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            panic!("property case {index} of {cases} failed (case seed {seed:#018x}): {message}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +204,41 @@ mod tests {
         assert_ne!(v, (0..100).collect::<Vec<_>>());
         v.sort_unstable();
         assert_eq!(v, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn check_cases_runs_every_case_on_distinct_seeds() {
+        let mut firsts = Vec::new();
+        check_cases(1, 64, |rng| firsts.push(rng.next_u64()));
+        assert_eq!(firsts.len(), 64);
+        let mut again = Vec::new();
+        check_cases(1, 64, |rng| again.push(rng.next_u64()));
+        assert_eq!(firsts, again, "same base seed, same cases");
+        firsts.sort_unstable();
+        firsts.dedup();
+        assert_eq!(firsts.len(), 64);
+    }
+
+    #[test]
+    fn check_cases_reports_the_failing_case_and_its_seed() {
+        let mut seen = Vec::new();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check_cases(9, 10, |rng| {
+                let x = rng.next_u64();
+                seen.push(x);
+                assert!(seen.len() < 4, "boom {x}");
+            })
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        let mut seeds = SplitMix64::new(9);
+        let seed = (0..4).map(|_| seeds.next_u64()).last().unwrap();
+        assert!(msg.starts_with(&format!(
+            "property case 3 of 10 failed (case seed {seed:#018x})"
+        )));
+        // The reported seed replays the failing case's inputs.
+        let replayed = SplitMix64::new(seed).next_u64();
+        assert!(msg.ends_with(&format!("boom {replayed}")), "{msg}");
     }
 
     #[test]

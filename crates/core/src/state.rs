@@ -259,34 +259,23 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         self.n += 1;
     }
 
-    /// Appends a strictly increasing run of fresh items whose closed span
-    /// `[run[0], run[last]]` contains no existing stream item — exactly
-    /// the situation at every adversary leaf, where the current interval
-    /// was refined to be empty of stream items. Returns the largest `|I|`
-    /// the summary reported at any point of the run (cf.
-    /// [`ComparisonSummary::insert_sorted_run`]).
+    /// Appends a strictly increasing run of fresh items, minted inside
+    /// the open interval `iv`, whose closed span `[run[0], run[last]]`
+    /// contains no existing stream item — exactly the situation at every
+    /// adversary leaf, where the current interval was refined to be empty
+    /// of stream items. Returns the largest `|I|` the summary reported at
+    /// any point of the run (cf. [`ComparisonSummary::insert_sorted_run`]).
     ///
-    /// Equivalent to calling [`push`](Self::push) per item, but the treap
-    /// side costs one bulk join instead of |run| descents.
+    /// Equivalent to calling [`push`](Self::push) per item, but the order
+    /// index costs one bulk join instead of |run| descents. A
+    /// materialized stream indexes the items directly (the interval is
+    /// redundant there); an implicit stream registers the interval's run
+    /// generator and fragments instead of the items.
     ///
     /// # Panics
     ///
     /// Panics (with the same "distinct" diagnostic as `push`) if the run
     /// is not strictly increasing or its span overlaps existing items.
-    pub fn push_run(&mut self, run: &[Item]) -> usize {
-        self.index_run(run);
-        let peak = self.summary.insert_sorted_run(run);
-        self.n += run.len() as u64;
-        peak
-    }
-
-    /// [`push_run`](Self::push_run) for a run minted inside the open
-    /// interval `iv` — the entry point that works in **both** stream
-    /// representations. A materialized stream indexes the items
-    /// directly (the interval is redundant there); an implicit stream
-    /// registers the interval's run generator and fragments instead of
-    /// the items. Validity requirements and return value match
-    /// [`push_run`](Self::push_run).
     pub fn push_run_in(&mut self, iv: &Interval, run: &[Item]) -> usize {
         self.index_run_in(iv, run);
         let peak = self.summary.insert_sorted_run(run);
@@ -294,34 +283,19 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         peak
     }
 
-    /// Indexes a strictly increasing run of fresh items in the
-    /// order-statistic treap *without* feeding the summary or advancing
-    /// the stream length — the first half of [`push`](Self::push), split
-    /// out for the panic-free driver: the treap must know the items
-    /// before any summary call so that, when the summary panics mid-run,
-    /// rank/next/prev queries for the partial audit trail stay coherent.
-    /// Follow up with [`feed_summary`](Self::feed_summary) per item.
+    /// Indexes a strictly increasing run of fresh items, minted inside
+    /// `iv`, in the order index *without* feeding the summary or
+    /// advancing the stream length — the first half of
+    /// [`push_run_in`](Self::push_run_in), split out for the panic-free
+    /// driver: the index must know the items before any summary call so
+    /// that, when the summary panics mid-run, rank/next/prev queries for
+    /// the partial audit trail stay coherent. Follow up with
+    /// [`feed_summary`](Self::feed_summary) per item.
     ///
     /// # Panics
     ///
-    /// Same validity requirements as [`push_run`](Self::push_run).
-    pub fn index_run(&mut self, run: &[Item]) {
-        self.validate_run(run);
-        let OrderIndex::Materialized(order) = &mut self.order else {
-            panic!("index_run requires a materialized stream; use index_run_in");
-        };
-        let start = self.n;
-        order.extend_sorted_tagged(run.iter().cloned().zip(start..));
-    }
-
-    /// [`index_run`](Self::index_run) for a run minted inside `iv`,
-    /// working in both representations (see
-    /// [`push_run_in`](Self::push_run_in)).
-    ///
-    /// # Panics
-    ///
-    /// Same validity requirements as [`push_run`](Self::push_run); on
-    /// an implicit stream additionally panics if the run-id space is
+    /// Same validity requirements as [`push_run_in`](Self::push_run_in);
+    /// on an implicit stream additionally panics if the run-id space is
     /// exhausted (callers on the panic-free driver path check
     /// [`runs_exhausted`](Self::runs_exhausted) first).
     pub fn index_run_in(&mut self, iv: &Interval, run: &[Item]) {
@@ -369,10 +343,10 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         }
     }
 
-    /// Feeds one item (already indexed via [`index_run`](Self::index_run))
+    /// Feeds one item (already indexed via [`index_run_in`](Self::index_run_in))
     /// to the summary and advances the stream length. The caller is
     /// responsible for feeding items in the same order they were indexed;
-    /// the arrival tags assigned by `index_run` assume it.
+    /// the arrival tags assigned by `index_run_in` assume it.
     pub fn feed_summary(&mut self, item: Item) {
         self.summary.insert(item);
         self.n += 1;
@@ -1008,7 +982,7 @@ mod tests {
     fn push_run_matches_per_item_push() {
         let items = generate_increasing(&Interval::whole(), 24);
         let mut bulk = StreamState::new(ExactSummary::new());
-        bulk.push_run(&items);
+        bulk.push_run_in(&Interval::whole(), &items);
         let mut single = StreamState::new(ExactSummary::new());
         for it in items.clone() {
             single.push(it);
@@ -1028,7 +1002,7 @@ mod tests {
         let items = generate_increasing(&Interval::whole(), 8);
         let depth = items.iter().map(|i| i.depth()).max().unwrap();
         let mut st = StreamState::new(ExactSummary::new());
-        let peak = st.push_run(&items);
+        let peak = st.push_run_in(&Interval::whole(), &items);
         assert_eq!(peak, 8, "exact summary peak is the run length");
         assert_eq!(st.max_label_depth(), depth);
     }
@@ -1040,7 +1014,7 @@ mod tests {
         let mut st = StreamState::new(ExactSummary::new());
         st.push(items[1].clone());
         // The run's closed span [items[0], items[2]] contains items[1].
-        st.push_run(&[items[0].clone(), items[2].clone()]);
+        st.push_run_in(&Interval::whole(), &[items[0].clone(), items[2].clone()]);
     }
 
     #[test]
@@ -1048,6 +1022,6 @@ mod tests {
     fn push_run_rejects_non_increasing_runs() {
         let items = generate_increasing(&Interval::whole(), 2);
         let mut st = StreamState::new(ExactSummary::new());
-        st.push_run(&[items[1].clone(), items[0].clone()]);
+        st.push_run_in(&Interval::whole(), &[items[1].clone(), items[0].clone()]);
     }
 }

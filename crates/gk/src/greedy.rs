@@ -309,32 +309,37 @@ impl<T: Ord + Clone> MergeableSummary<T> for GreedyGk<T> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn greedy_invariant_and_mass_on_random_streams(
-            xs in proptest::collection::vec(0u32..100_000, 1..1500),
-        ) {
+    const CASES: u32 = 32;
+
+    #[test]
+    fn greedy_invariant_and_mass_on_random_streams() {
+        check_cases(0x23, CASES, |rng| {
+            let xs: Vec<u32> = (0..1 + rng.index(1499))
+                .map(|_| rng.below(100_000) as u32)
+                .collect();
             let mut gk = GreedyGk::new(0.03);
             for &x in &xs {
                 gk.insert(x);
             }
-            prop_assert!(gk.invariant_holds());
+            assert!(gk.invariant_holds());
             let mass: u64 = gk.tuples().iter().map(|t| t.g).sum();
-            prop_assert_eq!(mass, xs.len() as u64);
+            assert_eq!(mass, xs.len() as u64);
             let arr = gk.item_array();
-            prop_assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-        }
+            assert!(arr.windows(2).all(|w| w[0] <= w[1]));
+        });
+    }
 
-        #[test]
-        fn greedy_quantiles_within_budget_on_random_streams(
-            xs in proptest::collection::vec(0u32..10_000, 200..2000),
-        ) {
+    #[test]
+    fn greedy_quantiles_within_budget_on_random_streams() {
+        check_cases(0x24, CASES, |rng| {
+            let xs: Vec<u32> = (0..200 + rng.index(1800))
+                .map(|_| rng.below(10_000) as u32)
+                .collect();
             let eps = 0.05;
             let mut gk = GreedyGk::new(eps);
             let mut sorted = xs.clone();
@@ -350,9 +355,9 @@ mod proptests {
                 let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
                 let hi = sorted.partition_point(|&v| v <= ans) as u64;
                 let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(err <= budget, "rank {r}: err {err}");
+                assert!(err <= budget, "rank {r}: err {err}");
             }
-        }
+        });
     }
 }
 

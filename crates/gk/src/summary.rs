@@ -506,15 +506,19 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn gk_rank_errors_bounded(xs in proptest::collection::vec(0u32..10_000, 100..2000)) {
+    const CASES: u32 = 32;
+
+    #[test]
+    fn gk_rank_errors_bounded() {
+        check_cases(0x21, CASES, |rng| {
+            let xs: Vec<u32> = (0..100 + rng.index(1900))
+                .map(|_| rng.below(10_000) as u32)
+                .collect();
             let eps = 0.05;
             let mut gk = GkSummary::new(eps);
             let mut sorted = xs.clone();
@@ -531,19 +535,24 @@ mod proptests {
                 let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
                 let hi = sorted.partition_point(|&v| v <= ans) as u64;
                 let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(err <= budget, "rank {r}: answer {ans} err {err} > {budget}");
+                assert!(err <= budget, "rank {r}: answer {ans} err {err} > {budget}");
             }
-        }
+        });
+    }
 
-        #[test]
-        fn gk_invariant_on_random_streams(xs in proptest::collection::vec(0u64..1_000_000, 1..500)) {
+    #[test]
+    fn gk_invariant_on_random_streams() {
+        check_cases(0x22, CASES, |rng| {
+            let xs: Vec<u64> = (0..1 + rng.index(499))
+                .map(|_| rng.below(1_000_000))
+                .collect();
             let mut gk = GkSummary::new(0.02);
             for &x in &xs {
                 gk.insert(x);
-                prop_assert!(gk.invariant_holds());
+                assert!(gk.invariant_holds());
             }
             let mass: u64 = gk.tuples().iter().map(|t| t.g).sum();
-            prop_assert_eq!(mass, xs.len() as u64);
-        }
+            assert_eq!(mass, xs.len() as u64);
+        });
     }
 }

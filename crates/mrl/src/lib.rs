@@ -405,25 +405,34 @@ impl<T: Ord + Clone> RankEstimator<T> for MrlSummary<T> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn weight_conservation_on_random_streams(xs in proptest::collection::vec(0u64..100_000, 1..3000)) {
+    const CASES: u32 = 32;
+
+    #[test]
+    fn weight_conservation_on_random_streams() {
+        check_cases(0x31, CASES, |rng| {
+            let xs: Vec<u64> = (0..1 + rng.index(2999))
+                .map(|_| rng.below(100_000))
+                .collect();
             let mut mrl = MrlSummary::new(0.05, 3_000);
             for &x in &xs {
                 mrl.insert(x);
             }
-            prop_assert_eq!(mrl.total_weight(), xs.len() as u64);
-            prop_assert_eq!(mrl.items_processed(), xs.len() as u64);
-        }
+            assert_eq!(mrl.total_weight(), xs.len() as u64);
+            assert_eq!(mrl.items_processed(), xs.len() as u64);
+        });
+    }
 
-        #[test]
-        fn rank_queries_within_budget_on_random_streams(xs in proptest::collection::vec(0u32..10_000, 500..2500)) {
+    #[test]
+    fn rank_queries_within_budget_on_random_streams() {
+        check_cases(0x32, CASES, |rng| {
+            let xs: Vec<u32> = (0..500 + rng.index(2000))
+                .map(|_| rng.below(10_000) as u32)
+                .collect();
             let eps = 0.05;
             let mut mrl = MrlSummary::new(eps, 2_500);
             let mut sorted = xs.clone();
@@ -439,9 +448,9 @@ mod proptests {
                 let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
                 let hi = sorted.partition_point(|&v| v <= ans) as u64;
                 let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(err <= budget, "rank {r}: err {err}");
+                assert!(err <= budget, "rank {r}: err {err}");
             }
-        }
+        });
     }
 }
 

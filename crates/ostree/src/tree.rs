@@ -861,14 +861,40 @@ fn union<T: Ord>(nodes: &mut [Node<T>], a: u32, b: u32) -> u32 {
     root
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::{check_cases, SplitMix64};
+    use std::collections::BTreeSet;
 
-    proptest! {
-        #[test]
-        fn matches_sorted_vec_reference(xs in proptest::collection::vec(0u32..1000, 0..300)) {
+    const CASES: u32 = 256;
+
+    impl<T: Ord> OsTree<T> {
+        /// Total arena slots (live + freed); test-only introspection.
+        fn arena_slots(&self) -> usize {
+            self.nodes.len()
+        }
+    }
+
+    /// `len` distinct draws from `0..bound`, in draw order.
+    fn distinct(rng: &mut SplitMix64, len: usize, bound: u64) -> Vec<u64> {
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let x = rng.below(bound);
+            if seen.insert(x) {
+                out.push(x);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matches_sorted_vec_reference() {
+        check_cases(0x81, CASES, |rng| {
+            let xs: Vec<u32> = (0..rng.index(300))
+                .map(|_| rng.below(1000) as u32)
+                .collect();
             let mut t = OsTree::new();
             let mut reference = Vec::new();
             for &x in &xs {
@@ -876,26 +902,37 @@ mod proptests {
                 reference.push(x);
             }
             reference.sort_unstable();
-            prop_assert_eq!(t.len(), reference.len());
+            assert_eq!(t.len(), reference.len());
             let collected: Vec<u32> = t.iter().copied().collect();
-            prop_assert_eq!(&collected, &reference);
+            assert_eq!(&collected, &reference);
             for q in [0u32, 1, 500, 999, 1000] {
-                prop_assert_eq!(t.count_less(&q), reference.iter().filter(|&&x| x < q).count());
-                prop_assert_eq!(t.count_le(&q), reference.iter().filter(|&&x| x <= q).count());
+                assert_eq!(
+                    t.count_less(&q),
+                    reference.iter().filter(|&&x| x < q).count()
+                );
+                assert_eq!(
+                    t.count_le(&q),
+                    reference.iter().filter(|&&x| x <= q).count()
+                );
                 let suc = reference.iter().find(|&&x| x > q);
-                prop_assert_eq!(t.successor(&q), suc);
+                assert_eq!(t.successor(&q), suc);
                 let pre = reference.iter().rev().find(|&&x| x < q);
-                prop_assert_eq!(t.predecessor(&q), pre);
+                assert_eq!(t.predecessor(&q), pre);
             }
             for r in 1..=reference.len() {
-                prop_assert_eq!(t.select(r), Some(&reference[r - 1]));
+                assert_eq!(t.select(r), Some(&reference[r - 1]));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn insert_remove_differential(ops in proptest::collection::vec((any::<bool>(), 0u32..50), 1..400)) {
-            // Differential test: treap vs sorted Vec under a random
-            // interleaving of inserts and removes.
+    #[test]
+    fn insert_remove_differential() {
+        // Differential test: treap vs sorted Vec under a random
+        // interleaving of inserts and removes.
+        check_cases(0x82, CASES, |rng| {
+            let ops: Vec<(bool, u32)> = (0..1 + rng.index(399))
+                .map(|_| (rng.gen_bool(), rng.below(50) as u32))
+                .collect();
             let mut t = OsTree::new();
             let mut reference: Vec<u32> = Vec::new();
             for (is_insert, x) in ops {
@@ -906,39 +943,47 @@ mod proptests {
                 } else {
                     let removed = t.remove(&x);
                     let expected = reference.iter().position(|&v| v == x);
-                    prop_assert_eq!(removed, expected.is_some());
+                    assert_eq!(removed, expected.is_some());
                     if let Some(i) = expected {
                         reference.remove(i);
                     }
                 }
-                prop_assert_eq!(t.len(), reference.len());
+                assert_eq!(t.len(), reference.len());
             }
             let collected: Vec<u32> = t.iter().copied().collect();
-            prop_assert_eq!(collected, reference.clone());
+            assert_eq!(collected, reference.clone());
             for q in [0u32, 10, 25, 49] {
-                prop_assert_eq!(t.count_less(&q), reference.iter().filter(|&&x| x < q).count());
+                assert_eq!(
+                    t.count_less(&q),
+                    reference.iter().filter(|&&x| x < q).count()
+                );
             }
-        }
+        });
+    }
 
-        #[test]
-        fn rank_select_roundtrip(xs in proptest::collection::hash_set(0u64..100_000, 1..200)) {
+    #[test]
+    fn rank_select_roundtrip() {
+        check_cases(0x83, CASES, |rng| {
+            let len = 1 + rng.index(199);
+            let xs = distinct(rng, len, 100_000);
             let mut t = OsTree::new();
             for &x in &xs {
                 t.insert(x);
             }
             for &x in &xs {
                 let r = t.rank(&x);
-                prop_assert_eq!(t.select(r), Some(&x));
+                assert_eq!(t.select(r), Some(&x));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn batched_walks_match_single_queries(
-            xs in proptest::collection::vec(0u64..600, 0..250),
-            mut qs in proptest::collection::vec(0u64..650, 0..80),
-        ) {
-            // Property: one batched walk == m single walks, for every
-            // operation, on arbitrary multisets and query sets.
+    #[test]
+    fn batched_walks_match_single_queries() {
+        // Property: one batched walk == m single walks, for every
+        // operation, on arbitrary multisets and query sets.
+        check_cases(0x84, CASES, |rng| {
+            let xs: Vec<u64> = (0..rng.index(250)).map(|_| rng.below(600)).collect();
+            let mut qs: Vec<u64> = (0..rng.index(80)).map(|_| rng.below(650)).collect();
             let mut t = OsTree::new();
             for &x in &xs {
                 t.insert(x);
@@ -949,57 +994,56 @@ mod proptests {
             t.multi_count_less(&qs, &mut less);
             t.multi_rank(&qs, &mut ranks);
             for ((q, &l), (&ls, &r)) in qs.iter().zip(&le).zip(less.iter().zip(&ranks)) {
-                prop_assert_eq!(l, t.count_le(q));
-                prop_assert_eq!(ls, t.count_less(q));
-                prop_assert_eq!(r, t.rank(q));
+                assert_eq!(l, t.count_le(q));
+                assert_eq!(ls, t.count_less(q));
+                assert_eq!(r, t.rank(q));
             }
             let rs: Vec<usize> = (0..=t.len() + 1).collect();
             let mut sel = Vec::new();
             t.multi_select(&rs, &mut sel);
             for (&r, &s) in rs.iter().zip(&sel) {
-                prop_assert_eq!(s, t.select(r));
+                assert_eq!(s, t.select(r));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn batched_tags_match_single_lookups(
-            xs in proptest::collection::hash_set(0u64..400, 1..120),
-            mut qs in proptest::collection::vec(0u64..450, 0..60),
-        ) {
+    #[test]
+    fn batched_tags_match_single_lookups() {
+        check_cases(0x85, CASES, |rng| {
+            let len = 1 + rng.index(119);
+            let xs = distinct(rng, len, 400);
+            let mut qs: Vec<u64> = (0..rng.index(60)).map(|_| rng.below(450)).collect();
             let mut t = OsTree::new();
             for (i, &x) in xs.iter().enumerate() {
-                prop_assert!(t.insert_unique_tagged(x, i as u64));
+                assert!(t.insert_unique_tagged(x, i as u64));
             }
             qs.sort_unstable();
             let mut tags = Vec::new();
             t.multi_tag_of(&qs, &mut tags);
             for (q, &tag) in qs.iter().zip(&tags) {
-                prop_assert_eq!(tag, t.tag_of(q));
+                assert_eq!(tag, t.tag_of(q));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn removed_slots_are_reused(ops in proptest::collection::vec(0u32..40, 1..200)) {
-            // Arena discipline: interleaved insert/remove pairs must not
-            // grow the arena beyond the peak live count.
+    #[test]
+    fn removed_slots_are_reused() {
+        // Arena discipline: interleaved insert/remove pairs must not
+        // grow the arena beyond the peak live count.
+        check_cases(0x86, CASES, |rng| {
+            let ops: Vec<u32> = (0..1 + rng.index(199))
+                .map(|_| rng.below(40) as u32)
+                .collect();
             let mut t = OsTree::new();
             for (i, &x) in ops.iter().enumerate() {
                 t.insert(x);
                 if i % 2 == 1 {
-                    prop_assert!(t.remove(&x));
+                    assert!(t.remove(&x));
                 }
             }
             let live = t.len();
-            prop_assert!(t.arena_slots() <= ops.len());
-            prop_assert!(t.arena_slots() >= live);
-        }
-    }
-}
-
-#[cfg(all(test, feature = "proptest"))]
-impl<T: Ord> OsTree<T> {
-    /// Total arena slots (live + freed); test-only introspection.
-    fn arena_slots(&self) -> usize {
-        self.nodes.len()
+            assert!(t.arena_slots() <= ops.len());
+            assert!(t.arena_slots() >= live);
+        });
     }
 }

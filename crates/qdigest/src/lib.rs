@@ -262,30 +262,32 @@ impl QDigest {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn mass_conserved_and_space_bounded(xs in proptest::collection::vec(0u64..4096, 1..3000)) {
+    const CASES: u32 = 32;
+
+    #[test]
+    fn mass_conserved_and_space_bounded() {
+        check_cases(0x51, CASES, |rng| {
+            let xs: Vec<u64> = (0..1 + rng.index(2999)).map(|_| rng.below(4096)).collect();
             let mut qd = QDigest::new(12, 0.05);
             for &x in &xs {
                 qd.insert(x);
             }
             qd.compress();
-            let total: u64 = (0..4096).map(|q| {
-                // estimate_rank of universe max counts everything.
-                if q == 4095 { qd.estimate_rank(4095) } else { 0 }
-            }).sum();
-            prop_assert_eq!(total, xs.len() as u64);
-            prop_assert!(qd.node_count() as u64 <= 3 * qd.k() + 2);
-        }
+            // estimate_rank of the universe max counts everything.
+            assert_eq!(qd.estimate_rank(4095), xs.len() as u64);
+            assert!(qd.node_count() as u64 <= 3 * qd.k() + 2);
+        });
+    }
 
-        #[test]
-        fn rank_estimates_never_overcount(xs in proptest::collection::vec(0u64..1024, 1..1000)) {
+    #[test]
+    fn rank_estimates_never_overcount() {
+        check_cases(0x52, CASES, |rng| {
+            let xs: Vec<u64> = (0..1 + rng.index(999)).map(|_| rng.below(1024)).collect();
             let mut qd = QDigest::new(10, 0.05);
             let mut sorted = xs.clone();
             for &x in &xs {
@@ -295,12 +297,15 @@ mod proptests {
             for q in [0u64, 100, 500, 1023] {
                 let est = qd.estimate_rank(q);
                 let truth = sorted.partition_point(|&x| x <= q) as u64;
-                prop_assert!(est <= truth, "rank({q}): est {est} > true {truth}");
+                assert!(est <= truth, "rank({q}): est {est} > true {truth}");
             }
-        }
+        });
+    }
 
-        #[test]
-        fn quantile_monotone_in_phi(xs in proptest::collection::vec(0u64..4096, 50..2000)) {
+    #[test]
+    fn quantile_monotone_in_phi() {
+        check_cases(0x53, CASES, |rng| {
+            let xs: Vec<u64> = (0..50 + rng.index(1950)).map(|_| rng.below(4096)).collect();
             let mut qd = QDigest::new(12, 0.05);
             for &x in &xs {
                 qd.insert(x);
@@ -308,10 +313,14 @@ mod proptests {
             let mut prev = 0u64;
             for i in 1..=10 {
                 let q = qd.quantile(i as f64 / 10.0);
-                prop_assert!(q >= prev, "quantile not monotone at phi={}", i as f64 / 10.0);
+                assert!(
+                    q >= prev,
+                    "quantile not monotone at phi={}",
+                    i as f64 / 10.0
+                );
                 prev = q;
             }
-        }
+        });
     }
 }
 

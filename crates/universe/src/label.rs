@@ -183,49 +183,65 @@ fn padded_common_prefix(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::{check_cases, SplitMix64};
 
-    /// Arbitrary valid label: non-empty, no trailing zero.
-    fn label_strategy() -> impl Strategy<Value = Vec<u8>> {
-        (proptest::collection::vec(any::<u8>(), 0..6), 1u8..=255).prop_map(|(mut v, last)| {
-            v.push(last);
-            v
-        })
+    const CASES: u32 = 256;
+
+    /// Arbitrary valid label: non-empty, no trailing zero (0..6 free
+    /// bytes, then a final byte in 1..=255).
+    fn label(rng: &mut SplitMix64) -> Vec<u8> {
+        let mut v: Vec<u8> = (0..rng.index(6)).map(|_| rng.below(256) as u8).collect();
+        v.push(1 + rng.below(255) as u8);
+        v
     }
 
-    proptest! {
-        #[test]
-        fn between_any_two_valid_labels(a in label_strategy(), b in label_strategy()) {
-            prop_assume!(a != b);
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    /// Two distinct valid labels, in increasing order (redrawn while
+    /// equal).
+    fn ordered_pair(rng: &mut SplitMix64) -> (Vec<u8>, Vec<u8>) {
+        loop {
+            let (a, b) = (label(rng), label(rng));
+            if a != b {
+                return if a < b { (a, b) } else { (b, a) };
+            }
+        }
+    }
+
+    #[test]
+    fn between_any_two_valid_labels() {
+        check_cases(0x71, CASES, |rng| {
+            let (lo, hi) = ordered_pair(rng);
             let m = between_labels(Some(&lo), Some(&hi));
-            prop_assert!(m.as_slice() > lo.as_slice(), "{m:?} !> {lo:?}");
-            prop_assert!(m.as_slice() < hi.as_slice(), "{m:?} !< {hi:?}");
-            prop_assert!(*m.last().unwrap() != 0);
-        }
+            assert!(m.as_slice() > lo.as_slice(), "{m:?} !> {lo:?}");
+            assert!(m.as_slice() < hi.as_slice(), "{m:?} !< {hi:?}");
+            assert!(*m.last().unwrap() != 0);
+        });
+    }
 
-        #[test]
-        fn between_one_sided(a in label_strategy()) {
+    #[test]
+    fn between_one_sided() {
+        check_cases(0x72, CASES, |rng| {
+            let a = label(rng);
             let above = between_labels(Some(&a), None);
-            prop_assert!(above.as_slice() > a.as_slice());
+            assert!(above.as_slice() > a.as_slice());
             let below = between_labels(None, Some(&a));
-            prop_assert!(below.as_slice() < a.as_slice());
-        }
+            assert!(below.as_slice() < a.as_slice());
+        });
+    }
 
-        #[test]
-        fn repeated_bisection_from_random_pair(a in label_strategy(), b in label_strategy()) {
-            prop_assume!(a != b);
-            let (mut lo, hi) = if a < b { (a, b) } else { (b, a) };
+    #[test]
+    fn repeated_bisection_from_random_pair() {
+        check_cases(0x73, CASES, |rng| {
+            let (mut lo, hi) = ordered_pair(rng);
             // 64 nested bisections toward hi must all succeed.
             for _ in 0..64 {
                 let m = between_labels(Some(&lo), Some(&hi));
-                prop_assert!(lo < m && m < hi);
+                assert!(lo < m && m < hi);
                 lo = m;
             }
-        }
+        });
     }
 }
 

@@ -251,18 +251,16 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn window_median_within_combined_budget(
-            shift in 0u64..50_000,
-            seed in 0u64..1000,
-        ) {
+    #[test]
+    fn window_median_within_combined_budget() {
+        check_cases(0x61, 16, |rng| {
+            let shift = rng.below(50_000);
+            let seed = rng.below(1000);
             let window = 4_096u64;
             let buckets = 16u64;
             let eps = 0.02;
@@ -271,7 +269,9 @@ mod proptests {
             let mut s = seed | 1;
             let mut vals = Vec::with_capacity(n as usize);
             for i in 0..n {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let v = (s >> 33) % 100_000 + shift + i; // drifting values
                 w.insert(v);
                 vals.push(v);
@@ -286,10 +286,10 @@ mod proptests {
             let target = (window / 2) as i64;
             // Budget: 2ε·W (merge) + W/b (chunk slop) + rounding.
             let budget = (2.0 * eps * window as f64) as i64 + (window / buckets) as i64 + 8;
-            prop_assert!(
+            assert!(
                 (pos - target).abs() <= budget,
                 "median {ans}: pos {pos} vs target {target} (budget {budget})"
             );
-        }
+        });
     }
 }

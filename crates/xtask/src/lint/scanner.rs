@@ -8,7 +8,7 @@
 //!
 //! * brace depth, to scope regions;
 //! * `#[cfg(test)]` module regions (word-boundary match on `test`, so
-//!   `feature = "proptest"` does not count);
+//!   `feature = "pretest"` does not count);
 //! * the stack of enclosing `fn` names, for hot-path rules.
 //!
 //! This is deliberately not a full parser — it is a few hundred lines of
@@ -408,7 +408,7 @@ fn parse_directives(comment: &str) -> (Vec<String>, Vec<String>) {
 }
 
 /// `#[cfg(test)]` or any cfg attribute containing the *word* `test`
-/// (so `feature = "proptest"` does not count — though note literals are
+/// (so `feature = "pretest"` does not count — though note literals are
 /// already blanked by pass 1, making this mostly about `all(test, ...)`).
 fn contains_test_cfg(code: &str) -> bool {
     if !code.contains("#[cfg(") && !code.contains("#[cfg_attr(") {
@@ -522,13 +522,13 @@ mod tests {
     }
 
     #[test]
-    fn proptest_feature_is_not_a_test_cfg_but_all_test_is() {
-        // Literals are blanked, so `feature = "proptest"` can't match;
+    fn substring_test_feature_is_not_a_test_cfg_but_all_test_is() {
+        // Literals are blanked, so `feature = "pretest"` can't match;
         // the word `test` in all(test, ...) must.
-        let src = "#[cfg(all(test, feature = \"proptest\"))]\nmod proptests {\n    fn t() {}\n}\n";
+        let src = "#[cfg(all(test, feature = \"pretest\"))]\nmod pretests {\n    fn t() {}\n}\n";
         let f = scan(src);
         assert!(f.lines[2].in_test);
-        let src2 = "#[cfg(feature = \"proptest\")]\nmod proptests {\n    fn t() {}\n}\n";
+        let src2 = "#[cfg(feature = \"pretest\")]\nmod pretests {\n    fn t() {}\n}\n";
         let f2 = scan(src2);
         assert!(!f2.lines[2].in_test);
     }
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn word_boundaries() {
         assert!(contains_word("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_word("proptest", "test"));
+        assert!(!contains_word("pretest", "test"));
         assert!(contains_word("all(test, x)", "test"));
     }
 }
