@@ -79,6 +79,20 @@ service_smoke() {
     cmp "$root/export-t1.qsvc" "$root/export-t4.qsvc"
 }
 
+gk_ablation_check() {
+    # GK space pin: a fresh ablation_gk_variants run (banded vs greedy
+    # at three compress periods, on shuffled and adversarial streams)
+    # must reproduce columns 1-5 of the committed CSV — variant, period,
+    # stream, peak and final |I|. Column 6 (`ms`) is wall time; dropped.
+    local dir
+    dir=$(mktemp -d)
+    CQS_RESULTS_DIR="$dir" \
+        cargo run --release -q -p cqs-bench --bin ablation_gk_variants
+    diff <(cut -d, -f1-5 results/ablation_gk_variants.csv) \
+         <(cut -d, -f1-5 "$dir/ablation_gk_variants.csv")
+    rm -rf "$dir"
+}
+
 large_n_smoke() {
     # Billion-item representation smoke: the single interval-compressed
     # N ≈ 1.34e8 cell (ε = 1/1024, k = 17, StreamRepr::Implicit) run
@@ -197,6 +211,9 @@ if [[ $fast -eq 0 ]]; then
 
     echo "==> fault-matrix smoke (cqs faults, gk, eps=1/16, k=6)"
     faults_smoke --release
+
+    echo "==> GK variant ablation (space columns vs results/ablation_gk_variants.csv)"
+    gk_ablation_check
 
     echo "==> parallel-determinism smoke (thm22 --smoke, --jobs 1 vs --jobs 4)"
     # CQS_RESULTS_DIR redirects the CSV mirrors so the committed

@@ -1,4 +1,4 @@
-//! GK band computation.
+//! GK bands and the banded COMPRESS rule.
 //!
 //! Bands group tuples by the "age" of their uncertainty: with
 //! `p = ⌊2εn⌋`, a tuple's Δ lies in band α ≥ 1 when
@@ -11,6 +11,62 @@
 //! older tuples carrying more rank mass capacity; COMPRESS only merges a
 //! tuple into a successor of equal or higher band, which is what caps
 //! the tree height and yields the O((1/ε)·log εN) space bound.
+
+use crate::summary::CompressRule;
+use crate::tuple::GkTuple;
+
+/// The band-based COMPRESS rule of the original GK analysis.
+#[derive(Clone, Debug, Default)]
+pub struct Banded {
+    /// Band per tuple, kept across passes so the periodic compress does
+    /// not allocate on the adversary's hot path.
+    bands: Vec<u32>,
+}
+
+impl CompressRule for Banded {
+    const NAME: &'static str = "gk";
+
+    /// Walk right-to-left; a tuple whose band does not exceed its
+    /// successor's is folded — together with its band-subtree of
+    /// preceding lower-band tuples — into the successor, provided the
+    /// combined span stays below `cap`. A folded successor is skipped.
+    fn absorb<T>(&mut self, tuples: &mut [GkTuple<T>], cap: u64) {
+        let bands = &mut self.bands;
+        bands.clear();
+        bands.extend(tuples.iter().map(|t| band(t.delta.min(cap), cap)));
+        let mut i = tuples.len() - 2;
+        while i >= 1 {
+            let succ = i + 1;
+            let b = bands.get(i).copied().unwrap_or(0);
+            if tuples.get(succ).is_some_and(|s| s.g != 0)
+                && bands.get(succ).is_some_and(|&bs| b <= bs)
+            {
+                // Extent of i's band-subtree: consecutive predecessors
+                // with strictly smaller bands (the "descendants").
+                let mut start = i;
+                let mut g_star = tuples.get(i).map_or(0, |t| t.g);
+                while start > 1 && bands.get(start - 1).is_some_and(|&bp| bp < b) {
+                    start -= 1;
+                    g_star += tuples.get(start).map_or(0, |t| t.g);
+                }
+                if let Some(s) = tuples
+                    .get_mut(succ)
+                    .filter(|s| g_star + s.g + s.delta < cap)
+                {
+                    s.g += g_star;
+                    if let Some(subtree) = tuples.get_mut(start..=i) {
+                        for t in subtree {
+                            t.g = 0;
+                        }
+                    }
+                    i = start - 1;
+                    continue;
+                }
+            }
+            i -= 1;
+        }
+    }
+}
 
 /// The band of an uncertainty value `delta` at threshold `p = ⌊2εn⌋`.
 ///

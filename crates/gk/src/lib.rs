@@ -8,23 +8,25 @@
 //! upper bound that the PODS'20 lower bound reproduced in `cqs-core`
 //! proves tight.
 //!
-//! Three variants are provided:
+//! One tuple-list engine, [`Gk`], keeps tuples `(v_i, g_i, Δ_i)` where
+//! `g_i` is the rank mass between `v_{i−1}` and `v_i` and `Δ_i` bounds
+//! the rank uncertainty of `v_i`; the invariant `max_i (g_i + Δ_i) ≤
+//! 2εn` is what makes every rank answerable within εn. Insertion, the
+//! batched sorted-run path, merging, snapshots and queries are written
+//! once; the variants differ only in their sealed [`CompressRule`]:
 //!
-//! * [`GkSummary`] — the original algorithm with band-based COMPRESS and
-//!   subtree merging, exactly as analysed in the paper;
-//! * [`GreedyGk`] — the simplified greedy-merge variant suggested in the
-//!   same paper and studied experimentally by Luo et al. (whether its
-//!   space is also O((1/ε)·log εN) is the open problem recalled in
-//!   Section 6 of the lower-bound paper);
-//! * [`CappedGk`] — a deliberately space-starved greedy variant that
-//!   merges past the correctness threshold whenever it exceeds a hard
-//!   item budget. It is *not* ε-approximate; it exists to demonstrate
-//!   Lemma 3.4's failure mode under the adversary.
+//! * [`GkSummary`] = `Gk<T, `[`Banded`]`>` — the original algorithm with
+//!   band-based COMPRESS and subtree merging, exactly as analysed in the
+//!   paper;
+//! * [`GreedyGk`] = `Gk<T, `[`Greedy`]`>` — the simplified greedy-merge
+//!   variant suggested in the same paper and studied experimentally by
+//!   Luo et al. (whether its space is also O((1/ε)·log εN) is the open
+//!   problem recalled in Section 6 of the lower-bound paper).
 //!
-//! All variants maintain tuples `(v_i, g_i, Δ_i)` where `g_i` is the rank
-//! mass between `v_{i−1}` and `v_i` and `Δ_i` bounds the rank
-//! uncertainty of `v_i`; the invariant `max_i (g_i + Δ_i) ≤ 2εn` is what
-//! makes every rank answerable within εn.
+//! [`CappedGk`] wraps the greedy engine as a deliberately space-starved
+//! variant that re-runs greedy COMPRESS past the correctness threshold
+//! whenever it exceeds a hard item budget. It is *not* ε-approximate; it
+//! exists to demonstrate Lemma 3.4's failure mode under the adversary.
 //!
 //! # Example
 //!
@@ -48,13 +50,13 @@ mod greedy;
 mod summary;
 mod tuple;
 
-pub use band::band;
+pub use band::{band, Banded};
 pub use capped::CappedGk;
-pub use greedy::GreedyGk;
-pub use summary::GkSummary;
+pub use greedy::{Greedy, GreedyGk};
+pub use summary::{CompressRule, Gk, GkSummary};
 pub use tuple::GkTuple;
 
-/// Compile-time audit that the GK summaries can ride the `cqs-bench`
+/// Compile-time audit that both GK engines can ride the `cqs-bench`
 /// parallel sweep pool: each worker owns a whole summary for the
 /// duration of a cell. Never called — instantiating the assertions
 /// type-checks the `Send` bounds; the `sharding-send-sync` lint rule
@@ -63,8 +65,8 @@ pub use tuple::GkTuple;
 #[allow(dead_code)]
 fn sharding_send_audit<T: Send>() {
     fn assert_send<U: Send>() {}
-    assert_send::<GkSummary<T>>();
-    assert_send::<GreedyGk<T>>();
+    assert_send::<Gk<T, Banded>>();
+    assert_send::<Gk<T, Greedy>>();
 }
 
 #[cfg(test)]

@@ -1,8 +1,16 @@
-//! The original banded Greenwald–Khanna summary.
+//! The Greenwald–Khanna tuple-list engine, generic over its COMPRESS
+//! rule.
+//!
+//! Both GK variants keep the same tuples `(v, g, Δ)` under the same
+//! invariant `g + Δ ≤ ⌊2εn⌋`, insert and merge them the same way, and
+//! answer queries from them the same way; they differ only in which
+//! adjacent tuples a periodic COMPRESS folds together. That choice is
+//! the [`CompressRule`] type parameter, fixed by the two aliases
+//! [`GkSummary`] (banded) and [`crate::GreedyGk`] (greedy).
 
 use cqs_core::{ComparisonSummary, MergeError, MergeableSummary, RankEstimator};
 
-use crate::band::band;
+use crate::band::Banded;
 use crate::tuple::{
     estimate_rank_from_tuples, merge_sorted_chunk, merge_tuple_lists, query_rank_from_tuples,
     validate_tuple_parts, GkTuple,
@@ -12,30 +20,57 @@ use crate::tuple::{
 /// with the band-based COMPRESS and subtree merging of the original
 /// analysis. Space: O((1/ε)·log εN) — proved optimal by the lower bound
 /// in `cqs-core`.
+pub type GkSummary<T> = Gk<T, Banded>;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for crate::Banded {}
+    impl Sealed for crate::Greedy {}
+}
+
+/// Which adjacent tuples a GK COMPRESS pass folds together. Sealed: the
+/// implementors are exactly [`Banded`] and [`crate::Greedy`].
+pub trait CompressRule: sealed::Sealed + Default {
+    /// [`ComparisonSummary::name`] of the engine under this rule.
+    const NAME: &'static str;
+
+    /// One COMPRESS pass over at least three tuples at merge threshold
+    /// `cap`. A tuple folded into its successor adds its `g` to the
+    /// successor's and is marked dead with `g = 0` (live tuples always
+    /// carry `g >= 1`); the engine sweeps the dead out afterwards. The
+    /// first and last tuples (the stream extremes) are never folded.
+    fn absorb<T>(&mut self, tuples: &mut [GkTuple<T>], cap: u64);
+}
+
+/// The GK tuple list under COMPRESS rule `R`; use it as [`GkSummary`] or
+/// [`crate::GreedyGk`].
 #[derive(Clone, Debug)]
-pub struct GkSummary<T> {
+pub struct Gk<T, R> {
     tuples: Vec<GkTuple<T>>,
     n: u64,
     eps: f64,
     compress_period: u64,
-    /// COMPRESS scratch (band per tuple / merge flags / chunk-merge
-    /// middle), kept across calls so the periodic compress and the
-    /// sorted-run merge do not allocate on the adversary's hot path.
+    /// Sorted-run merge scratch and the rule (with whatever scratch it
+    /// keeps), kept across calls so neither the bulk insert path nor the
+    /// periodic compress allocates on the adversary's hot path.
     /// Transient: excluded from snapshots and rebuilt empty on restore.
-    scratch_bands: Vec<u32>,
-    scratch_remove: Vec<bool>,
     scratch_mid: Vec<GkTuple<T>>,
+    rule: R,
 }
 
-impl<T: Ord + Clone> GkSummary<T> {
+/// The canonical compress period ⌊1/(2ε)⌋ (at least 1).
+fn period_for(eps: f64) -> u64 {
+    (1.0 / (2.0 * eps)).floor().max(1.0) as u64
+}
+
+impl<T: Ord + Clone, R: CompressRule> Gk<T, R> {
     /// Creates a summary with guarantee ε ∈ (0, 0.5).
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range ε.
     pub fn new(eps: f64) -> Self {
-        let period = (1.0 / (2.0 * eps)).floor().max(1.0) as u64;
-        Self::with_compress_period(eps, period)
+        Self::with_compress_period(eps, period_for(eps))
     }
 
     /// Creates a summary that runs COMPRESS every `period` inserts
@@ -49,14 +84,13 @@ impl<T: Ord + Clone> GkSummary<T> {
     pub fn with_compress_period(eps: f64, period: u64) -> Self {
         assert!(eps > 0.0 && eps < 0.5, "eps must be in (0, 0.5)");
         assert!(period >= 1, "compress period must be positive");
-        GkSummary {
+        Gk {
             tuples: Vec::new(),
             n: 0,
             eps,
             compress_period: period,
-            scratch_bands: Vec::new(),
-            scratch_remove: Vec::new(),
             scratch_mid: Vec::new(),
+            rule: R::default(),
         }
     }
 
@@ -94,14 +128,13 @@ impl<T: Ord + Clone> GkSummary<T> {
         compress_period: u64,
     ) -> Result<Self, String> {
         validate_tuple_parts(&tuples, n, eps, compress_period)?;
-        let s = GkSummary {
+        let s = Gk {
             tuples,
             n,
             eps,
             compress_period,
-            scratch_bands: Vec::new(),
-            scratch_remove: Vec::new(),
             scratch_mid: Vec::new(),
+            rule: R::default(),
         };
         if !s.invariant_holds() {
             return Err("snapshot violates the GK span invariant g+Δ ≤ ⌊2εn⌋".to_string());
@@ -109,7 +142,7 @@ impl<T: Ord + Clone> GkSummary<T> {
         Ok(s)
     }
 
-    /// Merges another GK summary into this one.
+    /// Merges another summary under the same rule into this one.
     ///
     /// Standard GK merge (cf. the Mergeable Summaries line of work): the
     /// tuple lists are interleaved in sorted order and each tuple's rank
@@ -121,38 +154,35 @@ impl<T: Ord + Clone> GkSummary<T> {
     /// ```
     ///
     /// The merged summary answers within (ε_A + ε_B)·(n_A + n_B); `self`
-    /// adopts ε_A + ε_B so its invariant and future compressions remain
-    /// coherent. Merging is therefore best done in a balanced tree over
-    /// shards, giving ε·log(shards) total error.
-    pub fn merge(&mut self, other: &GkSummary<T>) {
+    /// adopts ε_A + ε_B and its canonical compress period so its
+    /// invariant and future compressions remain coherent — also when
+    /// `self` was empty. Merging is therefore best done in a balanced
+    /// tree over shards, giving ε·log(shards) total error.
+    pub fn merge(&mut self, other: &Self) {
         if other.tuples.is_empty() {
             return;
         }
+        self.eps = (self.eps + other.eps).min(0.499);
+        self.compress_period = period_for(self.eps);
         if self.tuples.is_empty() {
             // Adopting the other side wholesale is the one unavoidable
             // copy: merge takes `&other` by contract.
             // cqs-lint: allow(hot-path-alloc)
             self.tuples = other.tuples.clone();
             self.n = other.n;
-            self.eps = (self.eps + other.eps).min(0.499);
             return;
         }
         let (na, nb) = (self.n, other.n);
         self.tuples = merge_tuple_lists(&self.tuples, &other.tuples, na, nb);
         self.n = na + nb;
-        self.eps = (self.eps + other.eps).min(0.499);
-        self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
-        self.compress();
+        self.compress(self.threshold());
     }
 
     /// Certified rank bounds for any universe item `q`: the true number
     /// of stream items ≤ q lies in the returned `[lo, hi]` interval.
     /// The interval width is at most 2εn + 1 by the GK invariant.
     pub fn rank_bounds(&self, q: &T) -> (u64, u64) {
-        if self.tuples.is_empty() {
-            return (0, 0);
-        }
-        if *q < self.tuples[0].v {
+        if self.tuples.first().is_none_or(|t| *q < t.v) {
             return (0, 0);
         }
         let mut r_min = 0u64;
@@ -177,7 +207,7 @@ impl<T: Ord + Clone> GkSummary<T> {
         self.tuples.iter().all(|t| t.g + t.delta <= cap)
     }
 
-    fn insert_value(&mut self, item: T) {
+    pub(crate) fn insert_value(&mut self, item: T) {
         let pos = self.tuples.partition_point(|t| t.v < item);
         // Δ for an interior insert is ⌊2εn⌋ − 1; 0 at either end (the
         // new extreme has exact rank) and during the initial grace
@@ -198,76 +228,30 @@ impl<T: Ord + Clone> GkSummary<T> {
         );
         self.n += 1;
         if self.n.is_multiple_of(self.compress_period) {
-            self.compress();
+            self.compress(self.threshold());
         }
     }
 
-    /// The band-based COMPRESS: walk right-to-left; a tuple whose band
-    /// does not exceed its successor's is merged — together with its
-    /// band-subtree of preceding lower-band tuples — into the successor,
-    /// provided the combined span stays below ⌊2εn⌋.
-    fn compress(&mut self) {
-        let thr = self.threshold();
-        if thr < 2 || self.tuples.len() < 3 {
+    /// One COMPRESS pass under the rule at merge threshold `cap` — the
+    /// span bound ⌊2εn⌋, except where `CappedGk` escalates it past
+    /// correctness — then one `retain` sweep of the tuples it folded.
+    pub(crate) fn compress(&mut self, cap: u64) {
+        if cap < 2 || self.tuples.len() < 3 {
             return;
         }
-        let mut bands = std::mem::take(&mut self.scratch_bands);
-        bands.clear();
-        bands.extend(self.tuples.iter().map(|t| band(t.delta.min(thr), thr)));
-        // Collect merges on a right-to-left pass, then apply in one
-        // sweep to keep the pass O(s).
-        let mut remove = std::mem::take(&mut self.scratch_remove);
-        remove.clear();
-        remove.resize(self.tuples.len(), false);
-        let mut i = self.tuples.len() as isize - 2;
-        while i >= 1 {
-            let iu = i as usize;
-            let succ = iu + 1;
-            if remove[succ] {
-                i -= 1;
-                continue;
-            }
-            if bands[iu] <= bands[succ] {
-                // Extent of i's band-subtree: consecutive predecessors
-                // with strictly smaller bands (the "descendants").
-                let mut start = iu;
-                let mut g_star = self.tuples[iu].g;
-                while start > 1 && bands[start - 1] < bands[iu] {
-                    start -= 1;
-                    g_star += self.tuples[start].g;
-                }
-                if g_star + self.tuples[succ].g + self.tuples[succ].delta < thr {
-                    self.tuples[succ].g += g_star;
-                    for flag in remove.iter_mut().take(iu + 1).skip(start) {
-                        *flag = true;
-                    }
-                    i = start as isize - 1;
-                    continue;
-                }
-            }
-            i -= 1;
-        }
-        if remove.iter().any(|&r| r) {
-            let mut idx = 0;
-            self.tuples.retain(|_| {
-                let keep = !remove[idx];
-                idx += 1;
-                keep
-            });
-        }
-        self.scratch_bands = bands;
-        self.scratch_remove = remove;
+        self.rule.absorb(&mut self.tuples, cap);
+        self.tuples.retain(|t| t.g != 0);
     }
 }
 
-impl<T: Ord + Clone> ComparisonSummary<T> for GkSummary<T> {
+impl<T: Ord + Clone, R: CompressRule> ComparisonSummary<T> for Gk<T, R> {
     fn insert(&mut self, item: T) {
         self.insert_value(item);
     }
 
     fn insert_sorted_run(&mut self, run: &[T]) -> usize {
         debug_assert!(
-            run.windows(2).all(|w| w[0] <= w[1]),
+            run.is_sorted(),
             "insert_sorted_run requires a non-decreasing run"
         );
         let mut peak = 0usize;
@@ -286,7 +270,7 @@ impl<T: Ord + Clone> ComparisonSummary<T> for GkSummary<T> {
             );
             let pre_compress = self.tuples.len();
             if self.n.is_multiple_of(self.compress_period) {
-                self.compress();
+                self.compress(self.threshold());
                 // The per-item path polls |I| after every insert (incl.
                 // the compressing one), so it never observes the full
                 // pre-compress length — only up to one item before it.
@@ -349,21 +333,21 @@ impl<T: Ord + Clone> ComparisonSummary<T> for GkSummary<T> {
     }
 
     fn name(&self) -> &'static str {
-        "gk"
+        R::NAME
     }
 }
 
-impl<T: Ord + Clone> RankEstimator<T> for GkSummary<T> {
+impl<T: Ord + Clone, R: CompressRule> RankEstimator<T> for Gk<T, R> {
     fn estimate_rank(&self, q: &T) -> u64 {
         estimate_rank_from_tuples(&self.tuples, q, self.n)
     }
 }
 
-impl<T: Ord + Clone> MergeableSummary<T> for GkSummary<T> {
+impl<T: Ord + Clone, R: CompressRule> MergeableSummary<T> for Gk<T, R> {
     /// The principled merge path: refuse up front when the composed ε
-    /// leaves (0, 0.5), fold via [`GkSummary::merge`], then re-validate
-    /// the GK span invariant under the composed ε — the check that makes
-    /// shard composition trustworthy rather than assumed.
+    /// leaves (0, 0.5), fold via [`Gk::merge`], then re-validate the GK
+    /// span invariant under the composed ε — the check that makes shard
+    /// composition trustworthy rather than assumed.
     fn try_merge(&mut self, other: &Self) -> Result<(), MergeError> {
         let composed = self.eps + other.eps;
         if !(composed > 0.0 && composed < 0.5) {

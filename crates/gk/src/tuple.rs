@@ -16,10 +16,11 @@ pub struct GkTuple<T> {
     pub delta: u64,
 }
 
-/// Structural validation shared by the banded and greedy snapshot
-/// restore paths: ε in range, positive compress period, tuples sorted
-/// non-decreasing by value, and total `g` mass equal to the stream
-/// length. Returns a diagnostic for the first violation found.
+/// Structural validation of a snapshot restore: ε in range, positive
+/// compress period, tuples sorted non-decreasing by value, every `g`
+/// positive (COMPRESS reads `g = 0` as "folded away"), and total `g`
+/// mass equal to the stream length. Returns a diagnostic for the first
+/// violation found.
 pub(crate) fn validate_tuple_parts<T: Ord>(
     tuples: &[GkTuple<T>],
     n: u64,
@@ -37,6 +38,9 @@ pub(crate) fn validate_tuple_parts<T: Ord>(
         _ => true,
     }) {
         return Err("snapshot tuples are not sorted by value".to_string());
+    }
+    if tuples.iter().any(|t| t.g == 0) {
+        return Err("snapshot holds a tuple with g = 0".to_string());
     }
     let mass: u64 = tuples.iter().map(|t| t.g).sum();
     if mass != n {
@@ -113,8 +117,8 @@ pub(crate) fn estimate_rank_from_tuples<T: Ord>(tuples: &[GkTuple<T>], q: &T, n:
 ///
 /// after which `(g, Δ)` are re-derived from the widened bounds. The
 /// result summarises the concatenated streams (lengths `na + nb`) with
-/// error at most (ε_A + ε_B)·(n_A + n_B); both the banded and the
-/// greedy variant compress it under their own policy afterwards.
+/// error at most (ε_A + ε_B)·(n_A + n_B); the engine compresses it
+/// under its rule afterwards.
 pub(crate) fn merge_tuple_lists<T: Ord + Clone>(
     a: &[GkTuple<T>],
     b: &[GkTuple<T>],

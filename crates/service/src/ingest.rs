@@ -46,43 +46,33 @@ where
 {
     let shards = handle.shard_count();
     let threads = threads.clamp(1, shards);
-    if threads <= 1 {
-        // Round-robin by position, same placement as the striding
-        // workers below (batch b -> shard b mod S).
-        let mut total = 0u64;
-        let mut shard = 0usize;
-        for batch in batches {
-            total += apply_batch(handle, shard, batch);
-            shard += 1;
-            if shard == shards {
-                shard = 0;
-            }
-        }
-        return total;
-    }
     let next = AtomicUsize::new(0);
     let total = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = 0u64;
-                loop {
-                    let shard = next.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
-                    // This worker owns shard `shard`: batches shard,
-                    // shard+S, shard+2S, ... in input order.
-                    let mut b = shard;
-                    while b < batches.len() {
-                        local += apply_batch(handle, shard, &batches[b]);
-                        b += shards;
-                    }
-                }
-                total.fetch_add(local, Ordering::Relaxed);
-            });
+    // One worker: claim whole shards until none is left. The claimer
+    // owns shard `s` outright and applies batches s, s+S, s+2S, ... in
+    // input order.
+    let worker = || {
+        let mut local = 0u64;
+        loop {
+            let shard = next.fetch_add(1, Ordering::Relaxed);
+            if shard >= shards {
+                break;
+            }
+            for batch in batches.iter().skip(shard).step_by(shards) {
+                local += apply_batch(handle, shard, batch);
+            }
         }
-    });
+        total.fetch_add(local, Ordering::Relaxed);
+    };
+    if threads == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(worker);
+            }
+        });
+    }
     total.load(Ordering::Relaxed)
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Section layout per family (see DESIGN.md §5.3):
 //!
-//! * GK / greedy-GK (`GKSM`/`GKGR`): `META` (eps, n, period) +
-//!   `TUPL` (count, then per tuple: item, g, Δ);
+//! * GK, one body for both COMPRESS rules (`GKSM` banded / `GKGR`
+//!   greedy): `META` (eps, n, period) + `TUPL` (count, then per tuple:
+//!   item, g, Δ);
 //! * CKMS (`CKMS`): `META` (eps, n, bias, period) + `TUPL` as above;
 //! * MRL (`MRLS`): `META` (eps, expected_n, n) + `BUFS` (buffer count,
 //!   then per buffer: level, item count, items) + `STAG` (staging run)
@@ -19,7 +20,7 @@ use crate::{RestoreError, SnapshotItem, SnapshotRead, SnapshotWrite};
 use cqs_core::ComparisonSummary;
 
 use cqs_ckms::{Bias, CkmsSummary, CkmsTuple};
-use cqs_gk::{GkSummary, GkTuple, GreedyGk};
+use cqs_gk::{Banded, CompressRule, Gk, GkTuple, Greedy};
 use cqs_mrl::MrlSummary;
 
 const META: [u8; 4] = *b"META";
@@ -59,36 +60,23 @@ fn read_gk_tuples<T: SnapshotItem>(d: &mut Decoder<'_>) -> Result<Vec<GkTuple<T>
     Ok(tuples)
 }
 
-impl<T: SnapshotItem + Ord + Clone> SnapshotWrite for GkSummary<T> {
+/// The wire kind of each GK COMPRESS rule: both engines share one
+/// section layout and differ only in this tag.
+pub trait GkKind: CompressRule {
+    /// The snapshot `KIND` of the engine under this rule.
+    const KIND: [u8; 4];
+}
+
+impl GkKind for Banded {
     const KIND: [u8; 4] = *b"GKSM";
-
-    fn write_sections(&self, w: &mut SnapshotWriter) {
-        let (tuples, n, eps, period) = self.snapshot_parts();
-        w.section_with(META, |e| {
-            e.put_f64(eps);
-            e.put_u64(n);
-            e.put_u64(period);
-        });
-        write_gk_tuples(w, tuples);
-    }
 }
 
-impl<T: SnapshotItem + Ord + Clone> SnapshotRead for GkSummary<T> {
-    fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, RestoreError> {
-        let mut meta = r.section(META)?;
-        let eps = meta.take_f64()?;
-        let n = meta.take_u64()?;
-        let period = meta.take_u64()?;
-        meta.finish()?;
-        let mut tupl = r.section(TUPL)?;
-        let tuples = read_gk_tuples(&mut tupl)?;
-        tupl.finish()?;
-        GkSummary::from_snapshot_parts(tuples, n, eps, period).map_err(|e| malformed(TUPL, e))
-    }
-}
-
-impl<T: SnapshotItem + Ord + Clone> SnapshotWrite for GreedyGk<T> {
+impl GkKind for Greedy {
     const KIND: [u8; 4] = *b"GKGR";
+}
+
+impl<T: SnapshotItem + Ord + Clone, R: GkKind> SnapshotWrite for Gk<T, R> {
+    const KIND: [u8; 4] = R::KIND;
 
     fn write_sections(&self, w: &mut SnapshotWriter) {
         let (tuples, n, eps, period) = self.snapshot_parts();
@@ -101,7 +89,7 @@ impl<T: SnapshotItem + Ord + Clone> SnapshotWrite for GreedyGk<T> {
     }
 }
 
-impl<T: SnapshotItem + Ord + Clone> SnapshotRead for GreedyGk<T> {
+impl<T: SnapshotItem + Ord + Clone, R: GkKind> SnapshotRead for Gk<T, R> {
     fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, RestoreError> {
         let mut meta = r.section(META)?;
         let eps = meta.take_f64()?;
@@ -111,7 +99,7 @@ impl<T: SnapshotItem + Ord + Clone> SnapshotRead for GreedyGk<T> {
         let mut tupl = r.section(TUPL)?;
         let tuples = read_gk_tuples(&mut tupl)?;
         tupl.finish()?;
-        GreedyGk::from_snapshot_parts(tuples, n, eps, period).map_err(|e| malformed(TUPL, e))
+        Gk::from_snapshot_parts(tuples, n, eps, period).map_err(|e| malformed(TUPL, e))
     }
 }
 
@@ -246,6 +234,7 @@ impl<T: SnapshotItem + Ord + Clone> SnapshotRead for MrlSummary<T> {
 mod tests {
     use super::*;
     use cqs_core::ComparisonSummary;
+    use cqs_gk::{GkSummary, GreedyGk};
 
     fn shuffled(n: u64, seed: u64) -> Vec<u64> {
         let mut v: Vec<u64> = (1..=n).collect();
@@ -342,18 +331,30 @@ mod tests {
         for x in 1..=100u64 {
             gk.insert(x);
         }
-        let (tuples, _, eps, period) = gk.snapshot_parts();
-        // Re-encode with a lying stream length: framing is pristine,
-        // structural validation must still refuse.
-        let mut w = crate::SnapshotWriter::new(<GkSummary<u64> as SnapshotWrite>::KIND);
-        w.section_with(META, |e| {
-            e.put_f64(eps);
-            e.put_u64(999); // n != Σg
-            e.put_u64(period);
-        });
-        write_gk_tuples(&mut w, tuples);
-        let err = GkSummary::<u64>::from_snapshot_bytes(&w.into_bytes()).unwrap_err();
-        assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
+        let (tuples, n, eps, period) = gk.snapshot_parts();
+        // A dead tuple (g = 0, what COMPRESS sweeps out) keeps Σg = n.
+        let mut with_dead = tuples.to_vec();
+        with_dead.insert(
+            1,
+            GkTuple {
+                v: 2,
+                g: 0,
+                delta: 0,
+            },
+        );
+        // Re-encode with a lying stream length, then with a dead tuple:
+        // framing is pristine, structural validation must still refuse.
+        for (n, tuples) in [(999, tuples), (n, &with_dead[..])] {
+            let mut w = crate::SnapshotWriter::new(<GkSummary<u64> as SnapshotWrite>::KIND);
+            w.section_with(META, |e| {
+                e.put_f64(eps);
+                e.put_u64(n);
+                e.put_u64(period);
+            });
+            write_gk_tuples(&mut w, tuples);
+            let err = GkSummary::<u64>::from_snapshot_bytes(&w.into_bytes()).unwrap_err();
+            assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
+        }
     }
 
     #[test]

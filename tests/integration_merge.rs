@@ -4,6 +4,7 @@
 //! and checks the merged summary against ground truth with the
 //! merge-appropriate budget (errors add per merge level).
 
+use cqs::gk::{CompressRule, Gk};
 use cqs::prelude::*;
 
 fn shuffled(n: u64, seed: u64) -> Vec<u64> {
@@ -92,19 +93,31 @@ fn gk_tree_merge_over_shards() {
 
 #[test]
 fn gk_merge_with_empty_and_into_empty() {
-    let mut a = GkSummary::new(0.01);
-    let b: GkSummary<u64> = GkSummary::new(0.01);
-    for v in 1..=1000u64 {
-        a.insert(v);
-    }
-    let before = a.items_processed();
-    a.merge(&b);
-    assert_eq!(a.items_processed(), before);
+    fn check<R: CompressRule>(new: fn(f64) -> Gk<u64, R>) {
+        let mut a = new(0.01);
+        let b = new(0.01);
+        for v in 1..=1000u64 {
+            a.insert(v);
+        }
+        let before = a.items_processed();
+        a.merge(&b);
+        assert_eq!(a.items_processed(), before);
 
-    let mut c: GkSummary<u64> = GkSummary::new(0.01);
-    c.merge(&a);
-    assert_eq!(c.items_processed(), 1000);
-    assert!(c.query_rank(500).unwrap().abs_diff(500) <= 30);
+        let mut c = new(0.01);
+        c.merge(&a);
+        assert_eq!(c.items_processed(), 1000);
+        assert!(c.query_rank(500).unwrap().abs_diff(500) <= 30);
+        // An empty `self` adopts the composed ε and, with it, the
+        // canonical compress period a fresh summary at that ε would use.
+        assert_eq!(
+            c.snapshot_parts().3,
+            new(c.eps()).snapshot_parts().3,
+            "{}: stale compress period after merging into an empty summary",
+            c.name()
+        );
+    }
+    check(GkSummary::new);
+    check(GreedyGk::new);
 }
 
 #[test]
