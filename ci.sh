@@ -188,6 +188,15 @@ if [[ $fast -eq 0 ]]; then
     # reach it; its tests pin the traced adversary to Adversary::run.
     echo "==> benchmark harness tests (crates/bench/perfbench)"
     cargo test --release --offline -q --manifest-path crates/bench/perfbench/Cargo.toml
+
+    # The adversary workloads end to end: each run checks the pinned
+    # report digest, the equivalence verdict, the read answers and the
+    # snapshot round trips, and exits nonzero on any failed check.
+    echo "==> benchmark adversary workloads (adv-materialized, adv-implicit)"
+    for w in adv-materialized adv-implicit; do
+        cargo run --release --offline -q --manifest-path crates/bench/perfbench/Cargo.toml -- \
+            --workload "$w" --seconds 1 --trace 0
+    done
 fi
 
 if [[ $fast -eq 0 ]]; then

@@ -15,75 +15,87 @@
 //! [`ImplicitOrder`] stores exactly that: a [`RunGenerator`] per run
 //! (the label oracle), a fragment treap ([`RunTree`]) ordering the
 //! runs' contiguous blocks by label with cached *virtual* counts, and a
-//! bounded id→arrival-tag memo so the hot queries — rank and arrival
-//! tag of summary-retained items — skip the O(log n · |label|)
-//! generator descent. Every answer is byte-identical to what the
-//! materialized treap over the same stream would give (the differential
-//! suite in `cqs-bench` pins this at moderate N), because both sides
-//! replay the identical subdivision.
+//! direct-mapped id→arrival-tag memo so the hot queries — rank and
+//! arrival tag of summary-retained items — skip the O(log n · |label|)
+//! generator descent. The memo is a fixed table of `MEMO_CAP` slots
+//! (6 MiB, allocated with the first run): a later mint whose id
+//! aliases a retained item's slot evicts it, and that item's next
+//! query takes the descent and re-memoizes. Every answer is
+//! byte-identical to what the materialized treap over the same stream
+//! would give (the differential suite in `cqs-bench` pins this at
+//! moderate N), because both sides replay the identical subdivision.
 //!
-//! Memory is O(#fragments + memo capacity + summary-retained label
-//! bytes): sublinear in N, which is what lets the Theorem 2.2 sweep
-//! verify the Ω((1/ε)·log εN) shape at N = 10⁸–10⁹ on one machine.
+//! Memory is O(#fragments + summary-retained label bytes) plus the
+//! constant-size memo: sublinear in N, which is what lets the Theorem
+//! 2.2 sweep verify the Ω((1/ε)·log εN) shape at N = 10⁸–10⁹ on one
+//! machine.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use cqs_ostree::{Fragment, RunTree};
 use cqs_universe::{Interval, Item, RunGenerator};
 
-/// Bounded two-generation memo from arena id to global arrival tag.
+/// Direct-mapped memo from arena id to global arrival tag.
 ///
-/// Seeded eagerly when a run is inserted (every item's tag is known at
-/// that moment for free) and consulted on every rank / tag query. A hit
-/// resolves the item's in-run index by subtraction; a miss falls back
-/// to the generator descent and re-memoizes. Eviction is generational:
-/// when the current generation fills, it becomes the previous
-/// generation and a fresh one starts — entries touched at least once
-/// per generation (summary-retained items are touched every leaf)
-/// survive indefinitely, while one-shot transients age out. Memory is
-/// bounded by `2 × cap` entries regardless of N.
+/// A fixed power-of-two number of slots in two parallel vectors: id `i`
+/// lives in slot `i & mask`, and `ids` holds `i + 1` so that a zeroed
+/// slot reads as empty (safe because [`Item::arena_id`] never returns
+/// `u32::MAX`). A hit is one load and one compare; an insert overwrites
+/// its slot. Two ids that share a slot evict each other — a lookup that
+/// misses falls back to the generator descent, so aliasing costs time,
+/// never an answer.
+///
+/// Seeded when a run is inserted (every item's tag is known at that
+/// moment for free) and consulted on every rank / tag query. The
+/// vectors are allocated on the first insert, not in [`TagMemo::new`],
+/// so building an index that never receives a run costs nothing.
 struct TagMemo {
-    cap: usize,
-    cur: BTreeMap<u32, u64>,
-    prev: BTreeMap<u32, u64>,
+    mask: u32,
+    ids: Vec<u32>,
+    tags: Vec<u64>,
 }
 
 impl TagMemo {
-    fn new(cap: usize) -> Self {
+    /// A memo of `slots` slots (a power of two), not yet allocated.
+    fn new(slots: u32) -> Self {
+        debug_assert!(slots.is_power_of_two(), "memo slots must be a power of two");
         TagMemo {
-            cap: cap.max(1),
-            cur: BTreeMap::new(),
-            prev: BTreeMap::new(),
+            mask: slots - 1,
+            ids: Vec::new(),
+            tags: Vec::new(),
         }
     }
 
-    /// Looks up an id, promoting previous-generation hits so recently
-    /// used entries keep surviving rotations.
-    fn get(&mut self, id: u32) -> Option<u64> {
-        if let Some(&tag) = self.cur.get(&id) {
-            return Some(tag);
+    fn get(&self, id: u32) -> Option<u64> {
+        let slot = (id & self.mask) as usize;
+        match self.ids.get(slot) {
+            Some(&stored) if Some(stored) == id.checked_add(1) => self.tags.get(slot).copied(),
+            _ => None,
         }
-        if let Some(tag) = self.prev.remove(&id) {
-            self.insert(id, tag);
-            return Some(tag);
-        }
-        None
     }
 
     fn insert(&mut self, id: u32, tag: u64) {
-        if self.cur.len() >= self.cap {
-            self.prev = std::mem::take(&mut self.cur);
+        let Some(stored) = id.checked_add(1) else {
+            return;
+        };
+        if self.ids.is_empty() {
+            let slots = self.mask as usize + 1;
+            self.ids = vec![0; slots];
+            self.tags = vec![0; slots];
         }
-        self.cur.insert(id, tag);
+        let slot = (id & self.mask) as usize;
+        if let (Some(i), Some(t)) = (self.ids.get_mut(slot), self.tags.get_mut(slot)) {
+            *i = stored;
+            *t = tag;
+        }
     }
 }
 
-/// Default memo capacity per generation. Sized to hold the largest
-/// plausible summary working set (stored items + one leaf run) with
-/// ample slack: 2 × 2¹⁸ entries ≈ 6 MiB of map either side,
-/// independent of N.
-const MEMO_CAP: usize = 1 << 18;
+/// Memo slots: 2¹⁹ × (4 + 8) bytes = 6 MiB, independent of N. Holds
+/// the summary's working set (stored items plus the latest leaf runs)
+/// with ample slack; past 2¹⁹ mints, later ids alias earlier ones'
+/// slots and evicted items re-resolve through the generator.
+const MEMO_CAP: u32 = 1 << 19;
 
 /// The interval-compressed order index. See the module docs.
 pub(crate) struct ImplicitOrder {
@@ -96,8 +108,8 @@ pub(crate) struct ImplicitOrder {
     tree: RunTree<Item>,
     /// Total virtual items (= stream length so far).
     len: u64,
-    /// Id → arrival tag fast path; interior-mutable because rank and
-    /// tag queries take `&self` but hits promote generations.
+    /// Id → arrival tag fast path; interior-mutable because `tag_of`
+    /// takes `&self` but re-memoizes what it resolves on a miss.
     memo: RefCell<TagMemo>,
 }
 
@@ -157,7 +169,7 @@ impl ImplicitOrder {
         });
         let start = self.len;
         {
-            let memo = &mut *self.memo.borrow_mut();
+            let mut memo = self.memo.borrow_mut();
             for (j, it) in items.iter().enumerate() {
                 if let Some(id) = it.arena_id() {
                     memo.insert(id, start + j as u64);
@@ -227,52 +239,58 @@ impl ImplicitOrder {
     /// memo knows `q`'s arrival tag and it belongs to that run.
     fn id_index(&self, run: u32, q: &Item) -> Option<u64> {
         let id = q.arena_id()?;
-        let tag = self.memo.borrow_mut().get(id)?;
+        let tag = self.memo.borrow().get(id)?;
         let start = *self.starts.get(run as usize)?;
         let idx = tag.checked_sub(start)?;
         (idx < self.gens.get(run as usize)?.count()).then_some(idx)
     }
 
+    /// How many items of `f`'s run compare below `q` (or `<= q` when
+    /// `inclusive`), for a `q` inside `f`'s closed range: by subtraction
+    /// on a memo hit, else by the generator descent.
+    fn in_run_count(&self, f: &Fragment<Item>, q: &Item, inclusive: bool) -> u64 {
+        match self.id_index(f.run, q) {
+            Some(idx) if idx >= f.base && idx < f.base + f.count => idx + u64::from(inclusive),
+            _ => self.gens.get(f.run as usize).map_or(f.base, |g| {
+                if inclusive {
+                    g.count_le(q.label())
+                } else {
+                    g.count_less(q.label())
+                }
+            }),
+        }
+    }
+
     /// How many stream items compare strictly below `q`.
     pub(crate) fn count_less(&self, q: &Item) -> u64 {
         let l = self.tree.locate(q);
-        match l.hit {
-            None => l.before,
-            Some(f) => {
-                let in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_less(q.label())),
-                };
-                l.before + (in_run - f.base)
-            }
-        }
+        l.before + l.hit.map_or(0, |f| self.in_run_count(f, q, false) - f.base)
     }
 
     /// How many stream items compare `<= q`.
     pub(crate) fn count_le(&self, q: &Item) -> u64 {
         let l = self.tree.locate(q);
-        match l.hit {
-            None => l.before,
-            Some(f) => {
-                let le_in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx + 1,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_le(q.label())),
-                };
-                l.before + (le_in_run - f.base)
-            }
-        }
+        l.before + l.hit.map_or(0, |f| self.in_run_count(f, q, true) - f.base)
+    }
+
+    /// Batched [`Self::count_le`] over label-sorted queries: one
+    /// fragment-treap walk for the whole batch. Counts land in `usize`
+    /// scratch, the materialized treap's native width; they stay exact
+    /// because stream lengths stay far below `usize::MAX` on the 64-bit
+    /// targets the billion-item sweep runs on.
+    pub(crate) fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
+        out.clear();
+        out.reserve(qs.len());
+        self.tree.multi_locate(qs, &mut |q, before, hit| {
+            let le = before + hit.map_or(0, |f| self.in_run_count(f, q, true) - f.base);
+            out.push(le as usize);
+        });
     }
 
     /// The arrival tag of stream item `q`, if `q` is in the stream.
     pub(crate) fn tag_of(&self, q: &Item) -> Option<u64> {
         if let Some(id) = q.arena_id() {
-            if let Some(tag) = self.memo.borrow_mut().get(id) {
+            if let Some(tag) = self.memo.borrow().get(id) {
                 return Some(tag);
             }
         }
@@ -291,47 +309,28 @@ impl ImplicitOrder {
     /// the original arrival.
     pub(crate) fn successor(&self, q: &Item) -> Option<Item> {
         let l = self.tree.locate(q);
-        match l.hit {
-            Some(f) => {
-                let le_in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx + 1,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_le(q.label())),
-                };
-                if le_in_run < f.base + f.count {
-                    self.gens.get(f.run as usize).map(|g| g.item_at(le_in_run))
-                } else {
-                    l.succ.map(|s| s.lo.clone())
-                }
+        if let Some(f) = l.hit {
+            let le_in_run = self.in_run_count(f, q, true);
+            if le_in_run < f.base + f.count {
+                return self.gens.get(f.run as usize).map(|g| g.item_at(le_in_run));
             }
-            None => l.succ.map(|s| s.lo.clone()),
         }
+        l.succ.map(|s| s.lo.clone())
     }
 
     /// The largest stream item strictly below `q`, freshly materialized.
     pub(crate) fn predecessor(&self, q: &Item) -> Option<Item> {
         let l = self.tree.locate(q);
-        match l.hit {
-            Some(f) => {
-                let less_in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_less(q.label())),
-                };
-                if less_in_run > f.base {
-                    self.gens
-                        .get(f.run as usize)
-                        .map(|g| g.item_at(less_in_run - 1))
-                } else {
-                    l.pred.map(|p| p.hi.clone())
-                }
+        if let Some(f) = l.hit {
+            let less_in_run = self.in_run_count(f, q, false);
+            if less_in_run > f.base {
+                return self
+                    .gens
+                    .get(f.run as usize)
+                    .map(|g| g.item_at(less_in_run - 1));
             }
-            None => l.pred.map(|p| p.hi.clone()),
         }
+        l.pred.map(|p| p.hi.clone())
     }
 
     /// The smallest stream item.
@@ -344,7 +343,9 @@ impl ImplicitOrder {
         self.tree.last().map(|f| f.hi.clone())
     }
 
-    /// Batched [`Self::tag_of`] over label-sorted queries.
+    /// Batched [`Self::tag_of`] over label-sorted queries. Answered
+    /// per item: a memo hit needs no tree walk at all, and a batched
+    /// fragment walk over every query measured several times slower.
     pub(crate) fn multi_tag_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
         out.reserve(qs.len());
         for q in qs {
@@ -379,11 +380,13 @@ mod tests {
     use cqs_universe::{generate_increasing, Endpoint};
 
     /// Builds the same stream both ways: a materialized treap and an
-    /// implicit index, from a root run refined twice in the adversary's
-    /// pattern (mint between order-adjacent items).
-    fn build_both(root_n: usize, leaf_n: usize) -> (OsTree<Item>, ImplicitOrder) {
+    /// implicit index with `memo_slots` memo slots, from a root run
+    /// refined twice in the adversary's pattern (mint between
+    /// order-adjacent items).
+    fn build_both(root_n: usize, leaf_n: usize, memo_slots: u32) -> (OsTree<Item>, ImplicitOrder) {
         let mut mat = OsTree::new();
         let mut imp = ImplicitOrder::new();
+        imp.memo.replace(TagMemo::new(memo_slots));
         let mut tag = 0u64;
         let mut feed =
             |mat: &mut OsTree<Item>, imp: &mut ImplicitOrder, iv: &Interval, n: usize| {
@@ -410,9 +413,9 @@ mod tests {
         (mat, imp)
     }
 
-    #[test]
-    fn matches_materialized_treap_on_refined_stream() {
-        let (mat, imp) = build_both(32, 8);
+    /// Every point query on `imp` agrees with the treap, on stream
+    /// items and on probes between adjacent items.
+    fn assert_matches_treap(mat: &OsTree<Item>, imp: &ImplicitOrder) {
         assert_eq!(imp.len(), mat.len() as u64);
         let mut all: Vec<(Item, u64)> = Vec::new();
         mat.for_each_tagged(&mut |it, t| all.push((it.clone(), t)));
@@ -439,8 +442,49 @@ mod tests {
     }
 
     #[test]
+    fn matches_materialized_treap_on_refined_stream() {
+        let (mat, imp) = build_both(32, 8, MEMO_CAP);
+        assert_matches_treap(&mat, &imp);
+    }
+
+    #[test]
+    fn aliased_memo_matches_materialized_treap() {
+        // Four slots for ~56 items: later runs' ids overwrite the slots
+        // of earlier retained items, so most queries miss and take the
+        // generator descent.
+        let (mat, imp) = build_both(32, 8, 4);
+        assert_matches_treap(&mat, &imp);
+        // A second pass sees the slots the first pass re-memoized.
+        assert_matches_treap(&mat, &imp);
+    }
+
+    #[test]
+    fn tag_memo_slot_edges() {
+        let mut memo = TagMemo::new(4);
+        // Never allocated: every lookup misses.
+        assert_eq!(memo.get(0), None);
+        assert_eq!(memo.get(u32::MAX - 1), None);
+        assert!(memo.ids.is_empty() && memo.tags.is_empty());
+        // The largest real id is stored as `u32::MAX` in its slot.
+        memo.insert(u32::MAX - 1, 7);
+        assert_eq!(memo.ids.len(), 4);
+        assert_eq!(memo.get(u32::MAX - 1), Some(7));
+        // Empty slots read as absent, including for id 0.
+        assert_eq!(memo.get(0), None);
+        assert_eq!(memo.get(1), None);
+        // The `NO_ID` sentinel is never stored and never found.
+        memo.insert(u32::MAX, 9);
+        assert_eq!(memo.get(u32::MAX), None);
+        assert_eq!(memo.get(u32::MAX - 1), Some(7));
+        // An aliasing id overwrites the slot.
+        memo.insert(2, 11);
+        assert_eq!(memo.get(2), Some(11));
+        assert_eq!(memo.get(u32::MAX - 1), None);
+    }
+
+    #[test]
     fn replay_visits_identical_items_and_tags() {
-        let (mat, imp) = build_both(16, 4);
+        let (mat, imp) = build_both(16, 4, MEMO_CAP);
         let mut a: Vec<(Vec<u8>, u64)> = Vec::new();
         mat.for_each_tagged(&mut |it, t| a.push((it.label().to_vec(), t)));
         let mut b: Vec<(Vec<u8>, u64)> = Vec::new();
@@ -450,7 +494,7 @@ mod tests {
 
     #[test]
     fn fresh_remints_resolve_without_memo() {
-        let (mat, imp) = build_both(16, 4);
+        let (mat, imp) = build_both(16, 4, MEMO_CAP);
         let mut items: Vec<(Item, u64)> = Vec::new();
         mat.for_each_tagged(&mut |it, t| items.push((it.clone(), t)));
         for (it, t) in &items {
@@ -465,7 +509,7 @@ mod tests {
 
     #[test]
     fn multi_queries_match_scalar_queries() {
-        let (mat, imp) = build_both(16, 4);
+        let (mat, imp) = build_both(16, 4, MEMO_CAP);
         let mut qs: Vec<Item> = Vec::new();
         mat.for_each_tagged(&mut |it, _| qs.push(it.clone()));
         let mut tags = Vec::new();
@@ -473,12 +517,28 @@ mod tests {
         for (i, q) in qs.iter().enumerate() {
             assert_eq!(tags[i], imp.tag_of(q));
         }
+        // Counts over stream items interleaved with probes between
+        // them, on a full memo and on an aliased one.
+        let mut mixed = Vec::new();
+        for w in qs.windows(2) {
+            mixed.push(w[0].clone());
+            mixed.push(cqs_universe::between_items(&w[0], &w[1]));
+        }
+        let (_, aliased) = build_both(16, 4, 4);
+        for imp in [&imp, &aliased] {
+            let mut les = Vec::new();
+            imp.multi_count_le(&mixed, &mut les);
+            let want: Vec<usize> = mixed.iter().map(|q| imp.count_le(q) as usize).collect();
+            assert_eq!(les, want);
+            let want: Vec<usize> = mixed.iter().map(|q| mat.count_le(q)).collect();
+            assert_eq!(les, want);
+        }
     }
 
     #[test]
-    fn memo_rotation_keeps_answers_correct() {
+    fn memo_aliasing_keeps_answers_correct() {
         let mut imp = ImplicitOrder::new();
-        imp.memo.replace(TagMemo::new(4)); // force constant rotation
+        imp.memo.replace(TagMemo::new(4)); // force constant aliasing
         let whole = Interval::whole();
         let items = generate_increasing(&whole, 64);
         imp.insert_run(&whole, &items);

@@ -96,20 +96,11 @@ impl OrderIndex {
         }
     }
 
-    /// Batched `count_le` over sorted queries. Counts land in `usize`
-    /// scratch (the materialized treap's native width); implicit counts
-    /// are exact — stream lengths stay far below `usize::MAX` on the
-    /// 64-bit targets the billion-item sweep runs on.
+    /// Batched `count_le` over sorted queries, one tree walk.
     fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
         match self {
             OrderIndex::Materialized(t) => t.multi_count_le(qs, out),
-            OrderIndex::Implicit(i) => {
-                out.clear();
-                out.reserve(qs.len());
-                for q in qs {
-                    out.push(i.count_le(q) as usize);
-                }
-            }
+            OrderIndex::Implicit(i) => i.multi_count_le(qs, out),
         }
     }
 
@@ -497,7 +488,8 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// `[rank(lo)] ++ [rank(it) for stored it inside iv] ++ [rank(hi)]`
     /// while collecting the enclosed restricted array — finite
     /// boundaries included — into `items` (O(1) arena clones). ALL ranks
-    /// come from ONE batched treap walk ([`OsTree::multi_count_le`]):
+    /// come from ONE batched tree walk ([`OsTree::multi_count_le`], or
+    /// the fragment treap's `multi_locate` on an implicit stream):
     /// the finite boundaries ride along as the first/last queries (the
     /// open interval keeps the batch sorted), so the per-call
     /// `rank_base`/`rank_in` descents of the unfused version disappear,
@@ -807,9 +799,12 @@ fn resolve_side_streaming<S: ComparisonSummary<Item>>(
     // run has minted — Θ(N) slots. That is the right trade on a
     // materialized stream (which is Θ(N) anyway), but it would be the
     // single superlinear structure of an interval-compressed stream,
-    // whose own index already memoizes id → tag in bounded space. So
-    // implicit streams skip the table: every item goes through the
-    // batched lookup, which the implicit index answers from its memo.
+    // whose own index already memoizes id → tag in a fixed
+    // direct-mapped table (2¹⁹ slots, 6 MiB, whatever N is). So
+    // implicit streams skip this table: every item goes through the
+    // batched lookup, which the implicit index answers with one slot
+    // load per memo hit, re-resolving an item whose slot a later mint
+    // overwrote through its run's generator.
     let memoize = !st.is_implicit();
     // Pass 1: table lookups; misses are queued for the batch, with a
     // placeholder tag marking the slot to patch.

@@ -233,6 +233,25 @@ impl<T: Ord + Clone> RunTree<T> {
         }
     }
 
+    /// Batched [`locate`](Self::locate) over sorted queries, without
+    /// the neighbor fragments: one walk for the whole batch, calling
+    /// `visit(q, before, hit)` once per query, in query order.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `qs` is sorted non-decreasingly.
+    pub fn multi_locate<'a>(
+        &'a self,
+        qs: &[T],
+        visit: &mut impl FnMut(&T, u64, Option<&'a Fragment<T>>),
+    ) {
+        debug_assert!(
+            qs.iter().zip(qs.iter().skip(1)).all(|(a, b)| a <= b),
+            "multi_locate queries must be sorted"
+        );
+        multi_locate_walk(&self.nodes, self.root, qs, 0, visit);
+    }
+
     /// The fragment holding the virtual item of 0-based global rank `r`,
     /// plus the item's offset within the fragment.
     pub fn select(&self, r: u64) -> Option<(&Fragment<T>, u64)> {
@@ -273,6 +292,50 @@ impl<T: Ord + Clone> RunTree<T> {
             walk(nodes, node.right, f);
         }
         walk(&self.nodes, self.root, f);
+    }
+}
+
+/// [`RunTree::multi_locate`]'s walk: `qs` splits at each node into the
+/// queries below its fragment, inside it, and above it; `acc` counts the
+/// virtual items left of the subtree.
+fn multi_locate_walk<'a, T: Ord>(
+    nodes: &'a [Node<T>],
+    link: u32,
+    qs: &[T],
+    acc: u64,
+    visit: &mut impl FnMut(&T, u64, Option<&'a Fragment<T>>),
+) {
+    if qs.is_empty() {
+        return;
+    }
+    match nodes.get(link as usize) {
+        None => {
+            for q in qs {
+                visit(q, acc, None);
+            }
+        }
+        Some(node) => {
+            // Virtual items before this node's fragment, and through it.
+            let before = acc + subtotal(nodes, node.left);
+            let through = before + node.frag.count;
+            // Clustered batches (the adversary's interval scans) fall
+            // wholly on one side of most nodes on the shared descent
+            // path: probing the sorted slice's endpoints answers those
+            // with one comparison.
+            if qs.last().is_some_and(|q| *q < node.frag.lo) {
+                return multi_locate_walk(nodes, node.left, qs, acc, visit);
+            }
+            if qs.first().is_some_and(|q| *q > node.frag.hi) {
+                return multi_locate_walk(nodes, node.right, qs, through, visit);
+            }
+            let (below, rest) = qs.split_at(qs.partition_point(|q| *q < node.frag.lo));
+            let (inside, above) = rest.split_at(rest.partition_point(|q| *q <= node.frag.hi));
+            multi_locate_walk(nodes, node.left, below, acc, visit);
+            for q in inside {
+                visit(q, before, Some(&node.frag));
+            }
+            multi_locate_walk(nodes, node.right, above, through, visit);
+        }
     }
 }
 
@@ -520,6 +583,36 @@ mod tests {
             }
         }
         assert!(t.select(r).is_none());
+    }
+
+    #[test]
+    fn multi_locate_matches_locate() {
+        let t = build(&[
+            frag(40, 59, 5, 2, 3),
+            frag(10, 19, 10, 0, 0),
+            frag(70, 99, 30, 3, 0),
+            frag(30, 30, 1, 1, 0),
+        ]);
+        let empty: RunTree<u64> = RunTree::new();
+        // Every probe, duplicates included, then clustered sub-batches.
+        let all: Vec<u64> = (0..=110u64).flat_map(|q| [q, q]).collect();
+        let batches = [&all[..], &all[20..40], &all[150..160], &all[..1], &[]];
+        for tree in [&t, &empty] {
+            for qs in batches {
+                let mut got = Vec::new();
+                tree.multi_locate(qs, &mut |q, before, hit| {
+                    got.push((*q, before, hit.map(|f| f.run)));
+                });
+                let want: Vec<_> = qs
+                    .iter()
+                    .map(|q| {
+                        let l = tree.locate(q);
+                        (*q, l.before, l.hit.map(|f| f.run))
+                    })
+                    .collect();
+                assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

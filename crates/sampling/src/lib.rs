@@ -104,8 +104,8 @@ impl<T: Ord + Clone> ComparisonSummary<T> for ReservoirSummary<T> {
         } else {
             // Algorithm R: replace a uniform slot with probability m/n.
             let j = self.rng.below(self.n);
-            if (j as usize) < self.capacity {
-                self.reservoir[j as usize] = item;
+            if let Some(slot) = self.reservoir.get_mut(j as usize) {
+                *slot = item;
             }
         }
     }
@@ -141,7 +141,7 @@ impl<T: Ord + Clone> ComparisonSummary<T> for ReservoirSummary<T> {
         let s = self.sorted_sample();
         let m = s.len() as u64;
         let idx = ((r as u128 * m as u128 / self.n as u128) as u64).clamp(1, m) - 1;
-        Some(s[idx as usize].clone())
+        s.get(idx as usize).cloned()
     }
 
     fn name(&self) -> &'static str {
