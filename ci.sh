@@ -189,11 +189,13 @@ if [[ $fast -eq 0 ]]; then
     echo "==> benchmark harness tests (crates/bench/perfbench)"
     cargo test --release --offline -q --manifest-path crates/bench/perfbench/Cargo.toml
 
-    # The adversary workloads end to end: each run checks the pinned
-    # report digest, the equivalence verdict, the read answers and the
-    # snapshot round trips, and exits nonzero on any failed check.
-    echo "==> benchmark adversary workloads (adv-materialized, adv-implicit)"
-    for w in adv-materialized adv-implicit; do
+    # The workloads end to end; each exits nonzero on any failed check.
+    # The adversary runs check the pinned report digest, the
+    # equivalence verdict, the read answers and the snapshot round
+    # trips; the service run checks served-ε rank error, QSVC round
+    # trips, zero fold errors and export bytes that repeat exactly.
+    echo "==> benchmark workloads (adv-materialized, adv-implicit, service-mixed)"
+    for w in adv-materialized adv-implicit service-mixed; do
         cargo run --release --offline -q --manifest-path crates/bench/perfbench/Cargo.toml -- \
             --workload "$w" --seconds 1 --trace 0
     done

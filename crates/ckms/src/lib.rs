@@ -32,7 +32,7 @@
 //! assert!((95..=105).contains(&low));
 //! ```
 
-use cqs_core::{ComparisonSummary, MergeError, MergeableSummary, RankEstimator};
+use cqs_core::{composed_eps, ComparisonSummary, MergeError, MergeableSummary, RankEstimator};
 
 /// One CKMS tuple (same shape as GK's).
 #[derive(Clone, Debug)]
@@ -193,9 +193,14 @@ impl<T: Ord + Clone> CkmsSummary<T> {
     /// Merges another CKMS summary of the *same bias direction* into
     /// this one: the standard widened-bounds tuple interleave (each
     /// emitted tuple's rank bounds widen by the bracketing tuples of the
-    /// other list), then a compress under the composed budget. `self`
-    /// adopts ε_A + ε_B; the biased guarantee composes the same way the
-    /// uniform one does — error at rank r grows to (ε_A + ε_B)·r.
+    /// other list), then a compress under the composed budget. In merged
+    /// order the widening is per tuple: a tuple keeps its `g`, and its Δ
+    /// grows by `g_s + Δ_s − 1`, where `s` is the other list's next
+    /// unconsumed tuple; once the other list runs out, the rest is copied
+    /// unchanged (the identity is derived at `cqs_gk`'s
+    /// `merge_tuple_lists`). `self` adopts ε_A + ε_B; the biased guarantee
+    /// composes the same way the uniform one does — error at rank r grows
+    /// to (ε_A + ε_B)·r.
     ///
     /// Bias directions cannot be mixed (their invariants pull opposite
     /// ways); use [`MergeableSummary::try_merge`] for the checked path.
@@ -203,65 +208,33 @@ impl<T: Ord + Clone> CkmsSummary<T> {
         if other.tuples.is_empty() {
             return;
         }
+        self.eps = composed_eps(self.eps, other.eps);
         if self.tuples.is_empty() {
             self.tuples = other.tuples.clone();
             self.n = other.n;
-            self.eps = (self.eps + other.eps).min(0.499);
             return;
         }
-        let bounds = |ts: &[CkmsTuple<T>]| -> Vec<(u64, u64)> {
-            let mut out = Vec::with_capacity(ts.len());
-            let mut r_min = 0u64;
-            for t in ts {
-                r_min += t.g;
-                out.push((r_min, r_min + t.delta));
-            }
-            out
+        // Live tuples carry g ≥ 1, so the subtraction never saturates.
+        let widened = |t: &CkmsTuple<T>, s: &CkmsTuple<T>| CkmsTuple {
+            v: t.v.clone(),
+            g: t.g,
+            delta: (t.delta + s.g + s.delta).saturating_sub(1),
         };
-        let ba = bounds(&self.tuples);
-        let bb = bounds(&other.tuples);
-        let (na, nb) = (self.n, other.n);
-        let mut merged: Vec<(T, u64, u64)> = Vec::with_capacity(ba.len() + bb.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.tuples.len() || j < other.tuples.len() {
-            let take_a = match (self.tuples.get(i), other.tuples.get(j)) {
-                (Some(a), Some(b)) => a.v <= b.v,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            let (v, own, other_ts, other_bounds, other_n, pos) = if take_a {
-                (self.tuples[i].v.clone(), ba[i], &other.tuples, &bb, nb, j)
+        let mut merged = Vec::with_capacity(self.tuples.len() + other.tuples.len());
+        let (mut a, mut b) = (self.tuples.as_slice(), other.tuples.as_slice());
+        while let (Some((x, a_rest)), Some((y, b_rest))) = (a.split_first(), b.split_first()) {
+            if x.v <= y.v {
+                merged.push(widened(x, y));
+                a = a_rest;
             } else {
-                (other.tuples[j].v.clone(), bb[j], &self.tuples, &ba, na, i)
-            };
-            let pred_min = if pos == 0 { 0 } else { other_bounds[pos - 1].0 };
-            let succ_max = match other_ts.get(pos) {
-                Some(_) => other_bounds[pos].1.saturating_sub(1),
-                None => other_n,
-            };
-            let r_min = own.0 + pred_min;
-            let r_max = (own.1 + succ_max).max(r_min);
-            merged.push((v, r_min, r_max));
-            if take_a {
-                i += 1;
-            } else {
-                j += 1;
+                merged.push(widened(y, x));
+                b = b_rest;
             }
         }
-        let mut tuples = Vec::with_capacity(merged.len());
-        let mut prev_min = 0u64;
-        for (v, r_min, r_max) in merged {
-            let r_min = r_min.max(prev_min);
-            tuples.push(CkmsTuple {
-                v,
-                g: r_min - prev_min,
-                delta: r_max.saturating_sub(r_min),
-            });
-            prev_min = r_min;
-        }
-        self.tuples = tuples;
-        self.n = na + nb;
-        self.eps = (self.eps + other.eps).min(0.499);
+        merged.extend_from_slice(a);
+        merged.extend_from_slice(b);
+        self.tuples = merged;
+        self.n += other.n;
         self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
         self.compress();
     }
@@ -420,6 +393,79 @@ impl<T: Ord + Clone> RankEstimator<T> for CkmsSummary<T> {
 }
 
 #[cfg(test)]
+impl<T: Ord + Clone> CkmsSummary<T> {
+    /// The three-pass merge the one-pass interleave replaced, kept as its
+    /// oracle: prefix rank bounds for both lists, widened bounds per
+    /// emitted tuple, then `(g, Δ)` re-derived from the bounds.
+    fn three_pass_merge_same_bias(&mut self, other: &CkmsSummary<T>) {
+        if other.tuples.is_empty() {
+            return;
+        }
+        if self.tuples.is_empty() {
+            self.tuples = other.tuples.clone();
+            self.n = other.n;
+            self.eps = (self.eps + other.eps).min(0.499);
+            return;
+        }
+        let bounds = |ts: &[CkmsTuple<T>]| -> Vec<(u64, u64)> {
+            let mut out = Vec::with_capacity(ts.len());
+            let mut r_min = 0u64;
+            for t in ts {
+                r_min += t.g;
+                out.push((r_min, r_min + t.delta));
+            }
+            out
+        };
+        let ba = bounds(&self.tuples);
+        let bb = bounds(&other.tuples);
+        let (na, nb) = (self.n, other.n);
+        let mut merged: Vec<(T, u64, u64)> = Vec::with_capacity(ba.len() + bb.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < self.tuples.len() || j < other.tuples.len() {
+            let take_a = match (self.tuples.get(i), other.tuples.get(j)) {
+                (Some(a), Some(b)) => a.v <= b.v,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            let (v, own, other_ts, other_bounds, other_n, pos) = if take_a {
+                (self.tuples[i].v.clone(), ba[i], &other.tuples, &bb, nb, j)
+            } else {
+                (other.tuples[j].v.clone(), bb[j], &self.tuples, &ba, na, i)
+            };
+            let pred_min = if pos == 0 { 0 } else { other_bounds[pos - 1].0 };
+            let succ_max = match other_ts.get(pos) {
+                Some(_) => other_bounds[pos].1.saturating_sub(1),
+                None => other_n,
+            };
+            let r_min = own.0 + pred_min;
+            let r_max = (own.1 + succ_max).max(r_min);
+            merged.push((v, r_min, r_max));
+            if take_a {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        let mut tuples = Vec::with_capacity(merged.len());
+        let mut prev_min = 0u64;
+        for (v, r_min, r_max) in merged {
+            let r_min = r_min.max(prev_min);
+            tuples.push(CkmsTuple {
+                v,
+                g: r_min - prev_min,
+                delta: r_max.saturating_sub(r_min),
+            });
+            prev_min = r_min;
+        }
+        self.tuples = tuples;
+        self.n = na + nb;
+        self.eps = (self.eps + other.eps).min(0.499);
+        self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
+        self.compress();
+    }
+}
+
+#[cfg(test)]
 mod properties {
     use super::*;
     use cqs_core::rng::check_cases;
@@ -439,6 +485,43 @@ mod properties {
             assert!(ck.invariant_holds());
             let mass: u64 = ck.tuples().iter().map(|t| t.g).sum();
             assert_eq!(mass, xs.len() as u64);
+        });
+    }
+
+    #[test]
+    fn one_pass_merge_matches_three_pass_oracle() {
+        // Heavy ties across both sides, one side empty one time in five,
+        // unequal ε, both bias directions.
+        check_cases(0x43, CASES, |rng| {
+            let distinct = 1 + rng.below(60);
+            let bias = if rng.below(2) == 0 {
+                Bias::Low
+            } else {
+                Bias::High
+            };
+            let mut side = |eps: f64| {
+                let len = if rng.below(5) == 0 {
+                    0
+                } else {
+                    rng.index(2000)
+                };
+                let mut ck = CkmsSummary::with_bias(eps, bias);
+                for _ in 0..len {
+                    ck.insert(rng.below(distinct));
+                }
+                ck
+            };
+            let (a, b) = (side(0.05), side(0.013));
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let (mut got, mut want) = (x.clone(), x.clone());
+                got.merge_same_bias(y);
+                want.three_pass_merge_same_bias(y);
+                let parts = |c: &CkmsSummary<u64>| {
+                    let ts: Vec<_> = c.tuples.iter().map(|t| (t.v, t.g, t.delta)).collect();
+                    (ts, c.n, c.eps, c.compress_period)
+                };
+                assert_eq!(parts(&got), parts(&want));
+            }
         });
     }
 
@@ -624,6 +707,21 @@ mod tests {
             err_high * 4 <= err_low.max(40),
             "high-biased p99.9 err {err_high} not clearly sharper than low-biased {err_low}"
         );
+    }
+
+    #[test]
+    fn composed_eps_near_half_is_not_understated() {
+        // 0.25 + 0.2495 = 0.4995 is a merge `try_merge` accepts, so the
+        // merged summary must report the whole composed ε.
+        let mut a = CkmsSummary::new(0.25);
+        let mut b = CkmsSummary::new(0.2495);
+        for x in 0..200u64 {
+            a.insert(x);
+            b.insert(x + 100);
+        }
+        a.try_merge(&b).expect("composed eps 0.4995 < 0.5");
+        let eps = a.eps_bound().expect("ckms reports eps");
+        assert!(eps >= 0.4995, "composed eps {eps}");
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use eps::Eps;
 pub use failure::{quantile_failure_witness, FailureWitness};
 pub use gap::{compute_gap, compute_gap_scratch, GapInfo, GapScratch};
 pub use histogram::{equi_depth_histogram, EquiDepthHistogram};
-pub use merge::{MergeError, MergeableSummary};
+pub use merge::{composed_eps, MergeError, MergeableSummary};
 pub use model::{ComparisonSummary, MaxSpaceTracker, RankEstimator};
 pub use refine::{refine_intervals, RefineError};
 pub use rng::SplitMix64;

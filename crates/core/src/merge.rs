@@ -69,6 +69,20 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// The ε a merged deterministic summary adopts: ε₁ + ε₂ as is whenever
+/// it is a valid ε (< 0.5), which is every merge a `try_merge` accepts
+/// after its [`MergeError::EpsOverflow`] check; an unchecked merge past
+/// that point is clamped to 0.499, keeping the summary constructible but
+/// no longer promising the composed bound.
+pub fn composed_eps(eps1: f64, eps2: f64) -> f64 {
+    let composed = eps1 + eps2;
+    if composed < 0.5 {
+        composed
+    } else {
+        0.499
+    }
+}
+
 /// A comparison-based summary that supports the mergeable-summaries
 /// composition: `try_merge` folds another summary of the *same type and
 /// compatible parameters* into `self`, after which `self` summarises the

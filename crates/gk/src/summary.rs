@@ -8,7 +8,7 @@
 //! the [`CompressRule`] type parameter, fixed by the two aliases
 //! [`GkSummary`] (banded) and [`crate::GreedyGk`] (greedy).
 
-use cqs_core::{ComparisonSummary, MergeError, MergeableSummary, RankEstimator};
+use cqs_core::{composed_eps, ComparisonSummary, MergeError, MergeableSummary, RankEstimator};
 
 use crate::band::Banded;
 use crate::tuple::{
@@ -153,16 +153,18 @@ impl<T: Ord + Clone, R: CompressRule> Gk<T, R> {
     ///   r_max'(x) = r_max_A(x) + r_max_B(succ_B(x)) − 1
     /// ```
     ///
-    /// The merged summary answers within (ε_A + ε_B)·(n_A + n_B); `self`
+    /// which one pass computes as `(v, g, Δ + g_s + Δ_s − 1)` with `s` the
+    /// other list's next unconsumed tuple (see `merge_tuple_lists`). The
+    /// merged summary answers within (ε_A + ε_B)·(n_A + n_B); `self`
     /// adopts ε_A + ε_B and its canonical compress period so its
     /// invariant and future compressions remain coherent — also when
-    /// `self` was empty. Merging is therefore best done in a balanced
-    /// tree over shards, giving ε·log(shards) total error.
+    /// `self` was empty. ε values add under merging, in a chain or a
+    /// balanced tree alike: folding shards gives composed ε = Σ ε.
     pub fn merge(&mut self, other: &Self) {
         if other.tuples.is_empty() {
             return;
         }
-        self.eps = (self.eps + other.eps).min(0.499);
+        self.eps = composed_eps(self.eps, other.eps);
         self.compress_period = period_for(self.eps);
         if self.tuples.is_empty() {
             // Adopting the other side wholesale is the one unavoidable
@@ -172,10 +174,16 @@ impl<T: Ord + Clone, R: CompressRule> Gk<T, R> {
             self.n = other.n;
             return;
         }
-        let (na, nb) = (self.n, other.n);
-        self.tuples = merge_tuple_lists(&self.tuples, &other.tuples, na, nb);
-        self.n = na + nb;
+        merge_tuple_lists(&self.tuples, &other.tuples, &mut self.scratch_mid);
+        std::mem::swap(&mut self.tuples, &mut self.scratch_mid);
+        self.n += other.n;
         self.compress(self.threshold());
+        // A merged summary may live on (the service caches its folds), so
+        // it keeps only what it stores: the pre-merge list is freed rather
+        // than kept as scratch, and the merged list gives back the slack
+        // COMPRESS leaves below its n_A + n_B-tuple capacity.
+        self.scratch_mid = Vec::new();
+        self.tuples.shrink_to_fit();
     }
 
     /// Certified rank bounds for any universe item `q`: the true number
@@ -456,6 +464,57 @@ mod tests {
         b.insert(2);
         a.merge(&b);
         assert!((a.eps() - 0.03).abs() < 1e-12);
+    }
+
+    #[test]
+    fn composed_eps_near_half_is_not_understated() {
+        // 0.25 + 0.2495 = 0.4995 is a merge `try_merge` accepts, so the
+        // merged summary must report (and check its invariant at) the
+        // whole composed ε, not a clamp below it.
+        fn check<R: CompressRule>() {
+            let mut a: Gk<u64, R> = Gk::new(0.25);
+            let mut b: Gk<u64, R> = Gk::new(0.2495);
+            for x in 0..200u64 {
+                a.insert(x);
+                b.insert(x + 100);
+            }
+            a.try_merge(&b).expect("composed eps 0.4995 < 0.5");
+            let eps = a.eps_bound().expect("gk reports eps");
+            assert!(eps >= 0.4995, "{}: composed eps {eps}", R::NAME);
+        }
+        check::<Banded>();
+        check::<crate::Greedy>();
+    }
+
+    #[test]
+    fn merge_matches_the_three_pass_reference() {
+        // The whole engine merge — one-pass kernel, buffer swap, eps and
+        // period adoption, compress — against the three-pass kernel it
+        // replaced, for both rules.
+        fn check<R: CompressRule + Clone>(xs: &[u64], ys: &[u64]) {
+            let mut a: Gk<u64, R> = Gk::new(0.01);
+            let mut b: Gk<u64, R> = Gk::new(0.003);
+            xs.iter().for_each(|&x| a.insert(x));
+            ys.iter().for_each(|&y| b.insert(y));
+            let mut want = a.clone();
+            want.eps = a.eps + b.eps;
+            want.compress_period = period_for(want.eps);
+            want.tuples = crate::tuple::three_pass_merge(&a.tuples, &b.tuples, a.n, b.n);
+            want.n = a.n + b.n;
+            want.compress(want.threshold());
+            a.merge(&b);
+            let parts = |g: &Gk<u64, R>| {
+                let ts: Vec<_> = g.tuples.iter().map(|t| (t.v, t.g, t.delta)).collect();
+                (ts, g.n, g.eps, g.compress_period)
+            };
+            assert_eq!(parts(&a), parts(&want), "{}", R::NAME);
+        }
+        let xs: Vec<u64> = (0..4000u64).map(|i| (i * 7919) % 97).collect();
+        let ys: Vec<u64> = (0..2500u64).map(|i| (i * 104_729) % 131).collect();
+        check::<Banded>(&xs, &ys);
+        check::<crate::Greedy>(&xs, &ys);
+        check::<Banded>(&ys, &xs);
+        check::<crate::Greedy>(&ys, &xs);
     }
 
     #[test]

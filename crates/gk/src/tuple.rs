@@ -80,10 +80,7 @@ pub(crate) fn query_rank_from_tuples<T: Clone>(tuples: &[GkTuple<T>], r: u64, n:
 /// Shared rank-estimation logic: the midpoint estimator
 /// `(r_min(i) + r_max(i+1) − 1)/2` for the last tuple with `v_i ≤ q`.
 pub(crate) fn estimate_rank_from_tuples<T: Ord>(tuples: &[GkTuple<T>], q: &T, n: u64) -> u64 {
-    if tuples.is_empty() {
-        return 0;
-    }
-    if *q < tuples[0].v {
+    if tuples.first().is_none_or(|t| *q < t.v) {
         return 0;
     }
     let mut r_min = 0u64;
@@ -105,21 +102,64 @@ pub(crate) fn estimate_rank_from_tuples<T: Ord>(tuples: &[GkTuple<T>], q: &T, n:
     n
 }
 
-/// Merges two GK tuple lists by value with widened rank bounds — the
-/// standard mergeable-summaries composition (Agarwal et al.): each
-/// emitted tuple's bounds are those of its source widened by the
-/// bracketing tuples of the *other* list,
+/// Merges two GK tuple lists by value into `out` (cleared first, its
+/// capacity reused) — the standard mergeable-summaries composition
+/// (Agarwal et al.). Each emitted tuple's rank bounds are its source's,
+/// widened by the bracketing tuples of the *other* list:
 ///
 /// ```text
 ///   r_min'(x) = r_min_A(x) + r_min_B(pred_B(x))
 ///   r_max'(x) = r_max_A(x) + r_max_B(succ_B(x)) − 1
 /// ```
 ///
-/// after which `(g, Δ)` are re-derived from the widened bounds. The
-/// result summarises the concatenated streams (lengths `na + nb`) with
-/// error at most (ε_A + ε_B)·(n_A + n_B); the engine compresses it
-/// under its rule afterwards.
+/// In merged order (ties take A first) both bounds reduce to per-tuple
+/// terms. The tuples emitted before x are A's up to x's predecessor and
+/// B's up to `pred_B(x)`, so `r_min'` advances by x's own mass: `g' = g`.
+/// With `s = succ_B(x)`, the other list's next unconsumed tuple,
+///
+/// ```text
+///   Δ' = r_max'(x) − r_min'(x) = Δ + g_s + Δ_s − 1,
+/// ```
+///
+/// and once the other list is exhausted (`r_max_B = r_min_B = n_B`),
+/// `Δ' = Δ`: the rest of the list is copied unchanged. One two-way pass
+/// therefore needs no rank-bound arrays and no running rank state. The
+/// result summarises the concatenated streams with error at most
+/// (ε_A + ε_B)·(n_A + n_B); the engine compresses it under its rule
+/// afterwards.
 pub(crate) fn merge_tuple_lists<T: Ord + Clone>(
+    a: &[GkTuple<T>],
+    b: &[GkTuple<T>],
+    out: &mut Vec<GkTuple<T>>,
+) {
+    // Live tuples carry g ≥ 1, so the subtraction never saturates.
+    let widened = |t: &GkTuple<T>, s: &GkTuple<T>| GkTuple {
+        v: t.v.clone(),
+        g: t.g,
+        delta: (t.delta + s.g + s.delta).saturating_sub(1),
+    };
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut a, mut b) = (a, b);
+    while let (Some((x, a_rest)), Some((y, b_rest))) = (a.split_first(), b.split_first()) {
+        if x.v <= y.v {
+            out.push(widened(x, y));
+            a = a_rest;
+        } else {
+            out.push(widened(y, x));
+            b = b_rest;
+        }
+    }
+    // At most one side is left; its tail keeps its own (g, Δ).
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+}
+
+/// The three-pass merge the one-pass kernel replaced, kept as its
+/// oracle: prefix rank bounds for both lists, widened bounds per
+/// emitted tuple, then `(g, Δ)` re-derived from the bounds.
+#[cfg(test)]
+pub(crate) fn three_pass_merge<T: Ord + Clone>(
     a: &[GkTuple<T>],
     b: &[GkTuple<T>],
     na: u64,
@@ -262,6 +302,9 @@ pub(crate) fn merge_sorted_chunk<T: Ord + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GkSummary, GreedyGk};
+    use cqs_core::rng::check_cases;
+    use cqs_core::{ComparisonSummary, SplitMix64};
 
     fn exact_tuples(n: u64) -> Vec<GkTuple<u64>> {
         (1..=n).map(|v| GkTuple { v, g: 1, delta: 0 }).collect()
@@ -297,5 +340,85 @@ mod tests {
         let ts: Vec<GkTuple<u64>> = Vec::new();
         assert_eq!(query_rank_from_tuples(&ts, 1, 0), None);
         assert_eq!(estimate_rank_from_tuples(&ts, &5, 0), 0);
+    }
+
+    /// Runs the one-pass kernel (into a buffer holding stale tuples, which
+    /// it must discard) and the three-pass oracle on `a`, `b`, and asserts
+    /// equal `(v, g, Δ)` lists.
+    fn assert_kernel_matches_oracle(a: &[GkTuple<u64>], b: &[GkTuple<u64>]) {
+        let mass = |ts: &[GkTuple<u64>]| ts.iter().map(|t| t.g).sum::<u64>();
+        let want = three_pass_merge(a, b, mass(a), mass(b));
+        let mut got = exact_tuples(3);
+        merge_tuple_lists(a, b, &mut got);
+        let parts = |ts: &[GkTuple<u64>]| -> Vec<(u64, u64, u64)> {
+            ts.iter().map(|t| (t.v, t.g, t.delta)).collect()
+        };
+        assert_eq!(parts(&got), parts(&want));
+    }
+
+    /// A stream of up to 3000 values over `distinct` values — heavy ties
+    /// when `distinct` is small — and empty one time in five.
+    fn tie_heavy_stream(rng: &mut SplitMix64, distinct: u64) -> Vec<u64> {
+        let len = if rng.below(5) == 0 {
+            0
+        } else {
+            rng.index(3000)
+        };
+        (0..len).map(|_| rng.below(distinct)).collect()
+    }
+
+    fn random_eps(rng: &mut SplitMix64) -> f64 {
+        [0.2, 0.05, 0.013, 0.004][rng.index(4)]
+    }
+
+    #[test]
+    fn one_pass_merge_matches_three_pass_oracle_on_summaries() {
+        check_cases(0x7a, 48, |rng| {
+            let distinct = 1 + rng.below(60);
+            let (xs, ys) = (
+                tie_heavy_stream(rng, distinct),
+                tie_heavy_stream(rng, distinct),
+            );
+            let (ea, eb) = (random_eps(rng), random_eps(rng));
+            let mut banded = (GkSummary::new(ea), GkSummary::new(eb));
+            let mut greedy = (GreedyGk::new(ea), GreedyGk::new(eb));
+            for &x in &xs {
+                banded.0.insert(x);
+                greedy.0.insert(x);
+            }
+            for &y in &ys {
+                banded.1.insert(y);
+                greedy.1.insert(y);
+            }
+            for (a, b) in [
+                (banded.0.tuples(), banded.1.tuples()),
+                (greedy.0.tuples(), greedy.1.tuples()),
+            ] {
+                assert_kernel_matches_oracle(a, b);
+                assert_kernel_matches_oracle(b, a);
+            }
+        });
+    }
+
+    #[test]
+    fn one_pass_merge_matches_three_pass_oracle_on_raw_lists() {
+        // Lists no summary would build: arbitrary g ≥ 1 and wide Δ.
+        check_cases(0x7b, 64, |rng| {
+            let distinct = 1 + rng.below(20);
+            let list = |rng: &mut SplitMix64| -> Vec<GkTuple<u64>> {
+                let mut vs: Vec<u64> = (0..rng.index(40)).map(|_| rng.below(distinct)).collect();
+                vs.sort_unstable();
+                vs.into_iter()
+                    .map(|v| GkTuple {
+                        v,
+                        g: 1 + rng.below(9),
+                        delta: rng.below(50),
+                    })
+                    .collect()
+            };
+            let (a, b) = (list(rng), list(rng));
+            assert_kernel_matches_oracle(&a, &b);
+            assert_kernel_matches_oracle(&b, &a);
+        });
     }
 }

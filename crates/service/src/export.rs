@@ -3,7 +3,8 @@
 //!
 //! [`QuantileRegistry::export_quantiles`] walks every key in
 //! lexicographic order, folds its shards once, and evaluates a shared φ
-//! grid — one pass over the registry, one fold per key. The resulting
+//! grid on the fold in place — one pass over the registry, one fold and
+//! no summary copy per key. The resulting
 //! [`QuantileExport`] serializes through the workspace snapshot format
 //! (versioned framing, per-section CRC32), so exports are byte-diffable
 //! across runs: the deterministic ingest contract guarantees the bytes
@@ -130,15 +131,14 @@ where
     pub fn export_quantiles(&self, phis: &[f64]) -> Result<QuantileExport<T>, MergeError> {
         let mut keys = Vec::new();
         for slot in self.slots_sorted() {
-            let folded = slot.fold::<T>()?;
-            let (n, eps_bound, values) = match &folded {
+            let (n, eps_bound, values) = slot.with_folded::<T, _>(|folded| match folded {
                 Some(s) => (
                     s.items_processed(),
                     s.eps_bound(),
                     phis.iter().map(|&phi| s.quantile(phi)).collect(),
                 ),
                 None => (0, None, vec![None; phis.len()]),
-            };
+            })?;
             keys.push(KeyQuantiles {
                 key: slot.key().to_string(),
                 n,

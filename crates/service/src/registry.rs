@@ -7,7 +7,9 @@
 //! independent summary shards behind their own mutexes; reads fold the
 //! shards from scratch with [`MergeableSummary::try_merge`], so the
 //! composed error bound stays at (non-empty shards) × ε₀ no matter how
-//! many fold cycles have run.
+//! many fold cycles have run. Reads answer from the fold in place
+//! (`KeySlot::with_folded`); only [`SummaryHandle::folded`] and
+//! [`QuantileRegistry::folded`] hand out a copy.
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -156,14 +158,17 @@ impl<S> KeySlot<S> {
         self.shards.iter().map(|s| lock(s).items_processed()).sum()
     }
 
-    /// Folds all non-empty shards, in shard order, into one summary.
+    /// Runs `f` on the fold of all non-empty shards, in shard order —
+    /// `None` while every shard is empty.
     ///
     /// Always folds *from scratch* (never into a persistent
     /// accumulator), so the composed ε is bounded by the number of
     /// non-empty shards times the per-shard ε₀ regardless of how many
-    /// folds have run. The result is cached under the slot version; a
-    /// fold that observes an unchanged version is a cache clone.
-    pub(crate) fn fold<T>(&self) -> Result<Option<S>, MergeError>
+    /// folds have run. The fold is cached under the slot version. On a
+    /// hit `f` runs on the cached summary under the cache lock; on a miss
+    /// the fresh fold is moved into the cache and `f` runs on it there.
+    /// Either way no copy of the folded summary is made.
+    pub(crate) fn with_folded<T, R>(&self, f: impl FnOnce(Option<&S>) -> R) -> Result<R, MergeError>
     where
         T: Ord + Clone,
         S: MergeableSummary<T> + Clone,
@@ -172,7 +177,7 @@ impl<S> KeySlot<S> {
         {
             let cache = lock(&self.merged);
             if cache.at_version == stamp {
-                return Ok(cache.summary.clone());
+                return Ok(f(cache.summary.as_ref()));
             }
         }
         let mut acc: Option<S> = None;
@@ -188,9 +193,9 @@ impl<S> KeySlot<S> {
         }
         self.runs_since_fold.store(0, Ordering::Release);
         let mut cache = lock(&self.merged);
-        cache.summary = acc.clone();
+        cache.summary = acc;
         cache.at_version = stamp;
-        Ok(acc)
+        Ok(f(cache.summary.as_ref()))
     }
 }
 
@@ -335,13 +340,14 @@ where
     T: Ord + Clone,
     S: MergeableSummary<T> + Clone,
 {
-    /// Folds the named key's shards into one summary; `Ok(None)` when
-    /// the key is unknown or has seen no items.
+    /// A copy of the named key's shards folded into one summary (the
+    /// fold is cached per slot version); `Ok(None)` when the key is
+    /// unknown or has seen no items.
     pub fn folded(&self, key: &str) -> Result<Option<S>, MergeError> {
         let stripe = &self.inner.stripes[stripe_of(key, self.inner.stripes.len())];
         let slot = { lock(stripe).get(key).cloned() };
         match slot {
-            Some(slot) => slot.fold::<T>(),
+            Some(slot) => slot.with_folded::<T, _>(|s| s.cloned()),
             None => Ok(None),
         }
     }
@@ -428,21 +434,24 @@ where
     T: Ord + Clone,
     S: MergeableSummary<T> + Clone,
 {
-    /// Folds all shards into one summary (cached per slot version);
-    /// `Ok(None)` while the key has seen no items.
+    /// A copy of all shards folded into one summary (the fold is cached
+    /// per slot version); `Ok(None)` while the key has seen no items.
     pub fn folded(&self) -> Result<Option<S>, MergeError> {
-        self.slot.fold::<T>()
+        self.slot.with_folded::<T, _>(|s| s.cloned())
     }
 
-    /// The φ-quantile of everything recorded under this key.
+    /// The φ-quantile of everything recorded under this key, answered
+    /// from the cached or fresh fold without copying it.
     pub fn quantile(&self, phi: f64) -> Result<Option<T>, MergeError> {
-        Ok(self.folded()?.and_then(|s| s.quantile(phi)))
+        self.slot
+            .with_folded::<T, _>(|s| s.and_then(|s| s.quantile(phi)))
     }
 
     /// The composed worst-case ε after folding, or `None` when the key
     /// is empty or the summary's guarantee is probabilistic.
     pub fn composed_eps(&self) -> Result<Option<f64>, MergeError> {
-        Ok(self.folded()?.and_then(|s| s.eps_bound()))
+        self.slot
+            .with_folded::<T, _>(|s| s.and_then(|s| s.eps_bound()))
     }
 }
 
@@ -515,6 +524,84 @@ mod tests {
         h.record(4);
         let c = h.folded().expect("fold").expect("non-empty");
         assert_eq!(c.items_processed(), 4);
+    }
+
+    /// GK that counts its copies, to see which reads clone a summary.
+    #[derive(Debug)]
+    struct Counted(GkSummary<u64>, Arc<AtomicU64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0.clone(), Arc::clone(&self.1))
+        }
+    }
+
+    impl ComparisonSummary<u64> for Counted {
+        fn insert(&mut self, item: u64) {
+            self.0.insert(item);
+        }
+        fn insert_sorted_run(&mut self, run: &[u64]) -> usize {
+            self.0.insert_sorted_run(run)
+        }
+        fn item_array(&self) -> Vec<u64> {
+            self.0.item_array()
+        }
+        fn stored_count(&self) -> usize {
+            self.0.stored_count()
+        }
+        fn items_processed(&self) -> u64 {
+            self.0.items_processed()
+        }
+        fn query_rank(&self, r: u64) -> Option<u64> {
+            self.0.query_rank(r)
+        }
+    }
+
+    impl MergeableSummary<u64> for Counted {
+        fn try_merge(&mut self, other: &Self) -> Result<(), MergeError> {
+            self.0.try_merge(&other.0)
+        }
+        fn eps_bound(&self) -> Option<f64> {
+            self.0.eps_bound()
+        }
+    }
+
+    #[test]
+    fn reads_answer_from_the_fold_without_copying_it() {
+        let clones = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&clones);
+        let reg: QuantileRegistry<u64, Counted> = QuantileRegistry::new(
+            ServiceConfig {
+                shards: 4,
+                stripes: 1,
+                fold_cadence: 1 << 20,
+            },
+            move || Counted(GkSummary::new(0.01), Arc::clone(&counter)),
+        );
+        let h = reg.handle("k");
+        for b in 0..8u64 {
+            h.record_sorted_run(&[b, b + 8, b + 16]);
+        }
+        let copies = || clones.load(Ordering::Relaxed);
+        // A miss copies the first shard to fold into, and nothing else.
+        assert_eq!(h.quantile(0.5).expect("fold"), Some(11));
+        assert_eq!(copies(), 1);
+        // Hits, the composed ε and the export read the cached fold.
+        assert_eq!(h.quantile(0.5).expect("fold"), Some(11));
+        assert!(h.composed_eps().expect("fold").is_some());
+        let export = reg.export_quantiles(&[0.5]).expect("export");
+        assert_eq!(export.keys[0].values, vec![Some(11)]);
+        assert_eq!(copies(), 1);
+        // `folded` hands out a copy; a new run invalidates the cache.
+        assert_eq!(
+            h.folded().expect("fold").map(|s| s.items_processed()),
+            Some(24)
+        );
+        assert_eq!(copies(), 2);
+        h.record(100);
+        assert_eq!(h.quantile(1.0).expect("fold"), Some(100));
+        assert_eq!(copies(), 3);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test golden_wire`.
 
 use cqs::prelude::*;
+use cqs_core::SplitMix64;
 use cqs_snapshot::{SnapshotRead, SnapshotWrite, MAGIC, VERSION};
 use std::path::PathBuf;
 
@@ -84,6 +85,48 @@ fn ckms_wire_bytes_are_stable() {
     );
 }
 
+/// A fixed multi-key fill of an 8-shard GK registry: every shard holds
+/// 2048 items, enough to compress at ε₀ = 0.01/8, so each key's export
+/// folds eight summaries carrying non-zero Δ with seven merges.
+/// One key is tie-heavy (64 distinct values), one ascending, one drawn
+/// from a wide range.
+fn filled_service_registry() -> QuantileRegistry<u64, GkSummary<u64>> {
+    let reg = QuantileRegistry::new(
+        ServiceConfig {
+            shards: 8,
+            stripes: 4,
+            fold_cadence: 1 << 20,
+        },
+        || GkSummary::new(0.01 / 8.0),
+    );
+    let mut rng = SplitMix64::new(0x9511_c0de);
+    for (key, kind) in [("api.latency", 0u64), ("db.rows", 1), ("queue.depth", 2)] {
+        let batches: Vec<Vec<u64>> = (0..64u64)
+            .map(|b| {
+                (0..256u64)
+                    .map(|i| match kind {
+                        0 => rng.below(1_000_000),
+                        1 => b * 256 + i,
+                        _ => rng.below(64),
+                    })
+                    .collect()
+            })
+            .collect();
+        parallel_ingest(&reg.handle(key), &batches, 1);
+    }
+    reg
+}
+
+#[test]
+fn service_export_wire_bytes_are_stable() {
+    // Pins the folded quantiles and composed ε, not just the QSVC
+    // framing: a merge or fold change that moves any answer fails here.
+    let export = filled_service_registry()
+        .export_quantiles(&DEFAULT_PHI_GRID)
+        .expect("fold");
+    assert_matches_golden("qsvc_v1", &export.to_snapshot_bytes());
+}
+
 #[test]
 fn golden_fixtures_still_restore() {
     // The committed images must remain readable by the current build —
@@ -110,7 +153,7 @@ fn golden_fixtures_carry_the_current_header() {
     // Every fixture opens with the magic and the version this build
     // writes; a bumped VERSION with stale fixtures fails here first
     // with a clearer message than a byte-diff.
-    for name in ["gk_v1", "gk_greedy_v1", "mrl_v1", "ckms_v1"] {
+    for name in ["gk_v1", "gk_greedy_v1", "mrl_v1", "ckms_v1", "qsvc_v1"] {
         let bytes = std::fs::read(golden_path(name)).expect("fixture");
         assert_eq!(&bytes[..4], &MAGIC, "{name}: magic");
         let ver = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
