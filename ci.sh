@@ -18,8 +18,18 @@ cd "$(dirname "$0")"
 faults_smoke() {
     # Fault-injection smoke: the 8-cell matrix on GK at eps = 1/16,
     # k = 6 must map every injected fault to its documented verdict
-    # (the binary exits nonzero on the first mismatch).
-    cargo run "$@" -q -p cqs-cli --bin cqs-tool -- faults --inv-eps 16 --k 6
+    # (the binary exits nonzero on the first mismatch). An aborted cell
+    # is replayed item by item, and the replay must give the same table
+    # at any fan-out: the --jobs 1 and --jobs 4 stdout must match.
+    local dir
+    dir=$(mktemp -d)
+    for j in 1 4; do
+        cargo run "$@" -q -p cqs-cli --bin cqs-tool -- faults --inv-eps 16 --k 6 \
+            --jobs "$j" > "$dir/faults-j$j.txt"
+    done
+    cat "$dir/faults-j1.txt"
+    diff "$dir/faults-j1.txt" "$dir/faults-j4.txt"
+    rm -rf "$dir"
 }
 
 recovery_smoke() {

@@ -3,7 +3,7 @@
 //! with `cargo bench -p cqs-bench`.
 
 use cqs_bench::micro::{bench, print_header};
-use cqs_bench::{attack, Target};
+use cqs_bench::{try_attack, Target};
 use cqs_core::Eps;
 
 fn main() {
@@ -13,7 +13,11 @@ fn main() {
         let n = eps.stream_len(k);
         for target in [Target::Gk, Target::GkGreedy] {
             let label = format!("adversary/{}/k{k}", target.name());
-            bench(&label, n, 10, || attack(eps, k, target).max_stored);
+            bench(&label, n, 10, || {
+                try_attack(eps, k, target)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"))
+                    .max_stored
+            });
         }
     }
 }

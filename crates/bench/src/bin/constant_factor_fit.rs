@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run -p cqs-bench --release --bin constant_factor_fit`
 
-use cqs_bench::{attack, emit, f3, Target};
+use cqs_bench::{emit, f3, try_attack, Target};
 use cqs_core::Eps;
 use cqs_streams::Table;
 
@@ -43,7 +43,7 @@ fn main() -> std::process::ExitCode {
             let eps = Eps::from_inverse(inv);
             let points: Vec<(f64, f64)> = (4..=9u32)
                 .map(|k| {
-                    let rep = attack(eps, k, target);
+                    let rep = try_attack(eps, k, target).unwrap_or_else(|e| panic!("{e}"));
                     (k as f64, rep.max_stored as f64 / inv as f64)
                 })
                 .collect();

@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run -p cqs-bench --release --bin gk_upper_bound_profile`
 
-use cqs_bench::{attack, drive_u64, emit, f1, Target};
+use cqs_bench::{drive_u64, emit, f1, try_attack, Target};
 use cqs_core::{ComparisonSummary, Eps};
 use cqs_gk::GkSummary;
 use cqs_streams::{workload, Table, Workload};
@@ -60,7 +60,7 @@ fn main() -> std::process::ExitCode {
         // Adversarial stream from the lower-bound construction.
         let eps = Eps::from_inverse(inv);
         for k in [6u32, 8] {
-            let rep = attack(eps, k, Target::Gk);
+            let rep = try_attack(eps, k, Target::Gk).unwrap_or_else(|e| panic!("{e}"));
             let n = rep.n;
             t.row(&[
                 &format!("1/{inv}"),

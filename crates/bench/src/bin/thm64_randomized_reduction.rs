@@ -15,7 +15,7 @@
 //!
 //! Run: `cargo run -p cqs-bench --release --bin thm64_randomized_reduction`
 
-use cqs_bench::{attack, emit, f1, Target};
+use cqs_bench::{emit, f1, try_attack, Target};
 use cqs_core::randomized::{
     deterministic_bound_shape, ln_factorial, log2_inv_delta, randomized_bound_shape,
     union_bound_applies,
@@ -56,7 +56,7 @@ fn main() -> std::process::ExitCode {
 
     let mut t2 = Table::new(&["k", "N", "gap", "ceil", "peak|I|", "thm2.2-bound", "meets"]);
     for k in 4..=9u32 {
-        let rep = attack(eps, k, Target::KllFixed);
+        let rep = try_attack(eps, k, Target::KllFixed).unwrap_or_else(|e| panic!("{e}"));
         t2.row(&[
             &k.to_string(),
             &rep.n.to_string(),

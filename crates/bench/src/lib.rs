@@ -55,42 +55,11 @@ impl Target {
     }
 }
 
-/// Runs the full adversarial construction against the chosen target and
-/// returns the flat report.
-pub fn attack(eps: Eps, k: u32, target: Target) -> AdversaryReport {
-    attack_repr(eps, k, target, StreamRepr::Materialized)
-}
-
-/// [`attack`] with an explicit stream representation — the unguarded
-/// (and therefore honestly-timed) path `perf_baseline` records; sweeps
-/// that must survive misbehaving summaries use [`try_attack_repr`].
-pub fn attack_repr(eps: Eps, k: u32, target: Target, repr: StreamRepr) -> AdversaryReport {
-    fn go<S: ComparisonSummary<Item>>(
-        eps: Eps,
-        k: u32,
-        repr: StreamRepr,
-        mut make: impl FnMut() -> S,
-    ) -> AdversaryReport {
-        cqs_core::Adversary::new(eps, make(), make())
-            .with_stream_repr(repr)
-            .run(k)
-            .report()
-    }
-    match target {
-        Target::Gk => go(eps, k, repr, || GkSummary::<Item>::new(eps.value())),
-        Target::GkGreedy => go(eps, k, repr, || GreedyGk::<Item>::new(eps.value())),
-        Target::KllFixed => {
-            let kcap = (4 * eps.inverse() as usize).max(8);
-            go(eps, k, repr, || KllSketch::<Item>::with_seed(kcap, 0xD1CE))
-        }
-        Target::Capped(b) => go(eps, k, repr, || CappedGk::<Item>::new(eps.value(), b)),
-    }
-}
-
-/// Panic-free [`attack`]: runs the construction through the guarded
-/// driver so one crashing or model-violating config yields an `Err`
-/// (with the full error rendered) instead of killing a whole sweep.
-/// The sweep binaries skip-and-record such configs.
+/// Runs the full adversarial construction against the chosen target
+/// through the guarded driver and returns the flat report. One crashing
+/// or model-violating config yields an `Err` (with the full error
+/// rendered) instead of killing a whole sweep; the sweep binaries
+/// skip-and-record such configs.
 pub fn try_attack(eps: Eps, k: u32, target: Target) -> Result<AdversaryReport, String> {
     try_attack_repr(eps, k, target, StreamRepr::Materialized)
 }
@@ -105,7 +74,7 @@ pub fn try_attack_repr(
     target: Target,
     repr: StreamRepr,
 ) -> Result<AdversaryReport, String> {
-    fn go<S: ComparisonSummary<Item>>(
+    fn go<S: ComparisonSummary<Item> + Clone>(
         eps: Eps,
         k: u32,
         repr: StreamRepr,
@@ -293,7 +262,7 @@ mod tests {
             Target::KllFixed,
             Target::Capped(8),
         ] {
-            let rep = attack(eps, 3, t);
+            let rep = try_attack(eps, 3, t).unwrap();
             assert_eq!(rep.n, eps.stream_len(3), "{:?}", t);
             assert!(rep.equivalence_ok, "{:?} broke indistinguishability", t);
         }

@@ -209,6 +209,9 @@ impl<T: Ord + Clone> CkmsSummary<T> {
             return;
         }
         self.eps = composed_eps(self.eps, other.eps);
+        // Both branches below, the early return into an empty `self`
+        // included, take the period a fresh summary at the composed ε has.
+        self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
         if self.tuples.is_empty() {
             self.tuples = other.tuples.clone();
             self.n = other.n;
@@ -235,7 +238,6 @@ impl<T: Ord + Clone> CkmsSummary<T> {
         merged.extend_from_slice(b);
         self.tuples = merged;
         self.n += other.n;
-        self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
         self.compress();
     }
 
@@ -258,8 +260,12 @@ impl<T: Ord + Clone> CkmsSummary<T> {
         while let Some(t) = ts.pop() {
             idx -= 1;
             let is_first = ts.is_empty();
-            // Budget at the *predecessor's* rank, per CKMS.
-            let budget = if idx == 0 { 1 } else { self.f(r_mins[idx - 1]) };
+            // Budget at the *predecessor's* rank, per CKMS (1 for the
+            // first tuple, which has none).
+            let budget = match idx.checked_sub(1).and_then(|p| r_mins.get(p)) {
+                Some(&r) => self.f(r),
+                None => 1,
+            };
             match kept_rev.last_mut() {
                 Some(succ) if !is_first && t.g + succ.g + succ.delta <= budget => {
                     succ.g += t.g;
@@ -278,7 +284,7 @@ impl<T: Ord + Clone> ComparisonSummary<T> for CkmsSummary<T> {
         let delta = if pos == 0 || pos == self.tuples.len() {
             0
         } else {
-            let r_prev: u64 = self.tuples[..pos].iter().map(|t| t.g).sum();
+            let r_prev: u64 = self.tuples.iter().take(pos).map(|t| t.g).sum();
             self.f(r_prev).saturating_sub(1)
         };
         self.tuples.insert(
@@ -375,7 +381,7 @@ impl<T: Ord + Clone> MergeableSummary<T> for CkmsSummary<T> {
 
 impl<T: Ord + Clone> RankEstimator<T> for CkmsSummary<T> {
     fn estimate_rank(&self, q: &T) -> u64 {
-        if self.tuples.is_empty() || *q < self.tuples[0].v {
+        if self.tuples.first().is_none_or(|t| *q < t.v) {
             return 0;
         }
         let mut r_min = 0u64;
@@ -405,6 +411,7 @@ impl<T: Ord + Clone> CkmsSummary<T> {
             self.tuples = other.tuples.clone();
             self.n = other.n;
             self.eps = (self.eps + other.eps).min(0.499);
+            self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
             return;
         }
         let bounds = |ts: &[CkmsTuple<T>]| -> Vec<(u64, u64)> {

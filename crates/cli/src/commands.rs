@@ -321,7 +321,7 @@ fn fault_matrix(eps: Eps, k: u32, seed: u64) -> Vec<FaultCell> {
 /// result vector, so it is identical for every `jobs` value.
 fn faults_matrix_run<S, F>(eps: Eps, k: u32, seed: u64, jobs: usize, make: F) -> (String, u8)
 where
-    S: ComparisonSummary<Item>,
+    S: ComparisonSummary<Item> + Clone,
     F: Fn() -> S + Sync,
 {
     let cells = fault_matrix(eps, k, seed);

@@ -22,7 +22,7 @@ use cqs_universe::{generate_increasing, generate_increasing_grouped, Interval, I
 use crate::eps::Eps;
 use crate::gap::{compute_gap_scratch, GapInfo, GapScratch, TieBreak};
 use crate::model::{ComparisonSummary, MaxSpaceTracker};
-use crate::refine::{refine_from, try_refine_from};
+use crate::refine::try_refine_from;
 use crate::spacegap::{claim1_holds, space_gap_holds, space_gap_rhs, theorem22_bound};
 use crate::state::{EquivalenceChecker, StreamRepr, StreamState};
 
@@ -72,6 +72,7 @@ pub struct Adversary<S> {
     gap_scratch: GapScratch,
     equiv: EquivalenceChecker,
     budget: AdversaryBudget,
+    feed: Feed,
 }
 
 /// Everything the adversary produced: the final stream states (reusable
@@ -87,7 +88,8 @@ pub struct AdversaryOutcome<S> {
     pub k: u32,
     /// Post-order audit of every recursion-tree node; the root is last.
     pub audits: Vec<NodeAudit>,
-    /// First indistinguishability violation observed, if any.
+    /// Why the walk stopped early, if it did: the first abort (an
+    /// indistinguishability violation, say) of `run` or `extend`.
     pub equivalence_error: Option<String>,
     /// Result of the final rank-query probe — populated by
     /// [`Adversary::try_run`] (the panicking [`Adversary::run`] never
@@ -372,9 +374,9 @@ impl fmt::Display for AdversaryError {
 
 impl std::error::Error for AdversaryError {}
 
-/// The abort reasons threaded up the `try_adv` recursion; converted
-/// into [`AdversaryError`] (with the salvaged [`PartialRun`]) at the
-/// top of [`Adversary::try_run`].
+/// The abort reasons threaded up the `try_adv` recursion; converted into
+/// [`AdversaryError`] (with the salvaged [`PartialRun`]) by
+/// [`Adversary::try_run`], latched as their detail by `run`/`extend`.
 enum TryAbort {
     Panicked {
         step: u64,
@@ -384,12 +386,38 @@ enum TryAbort {
     Model {
         detail: String,
     },
+    /// A step or depth budget, checked before anything is fed.
     Budget {
+        detail: String,
+    },
+    /// The stored-items budget, checked after the feed.
+    Stored {
         detail: String,
     },
     Exhausted {
         detail: String,
     },
+}
+
+impl TryAbort {
+    /// The reason alone, as `run` and `extend` latch it.
+    fn detail(self) -> String {
+        match self {
+            TryAbort::Panicked { payload: d, .. }
+            | TryAbort::Model { detail: d }
+            | TryAbort::Budget { detail: d }
+            | TryAbort::Stored { detail: d }
+            | TryAbort::Exhausted { detail: d } => d,
+        }
+    }
+}
+
+/// How a leaf feeds its runs: one `insert_sorted_run` per stream, or —
+/// to replay an aborted walk of [`Adversary::try_run`] down to its exact
+/// step — one guarded `insert` per item, sizes compared after each.
+enum Feed {
+    Batched,
+    PerItem,
 }
 
 /// Stringifies a caught panic payload (the common `&str`/`String`
@@ -418,11 +446,13 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             gap_scratch: GapScratch::default(),
             equiv: EquivalenceChecker::new(),
             budget: AdversaryBudget::default(),
+            feed: Feed::Batched,
         }
     }
 
-    /// Sets deterministic resource limits for [`try_run`](Self::try_run)
-    /// (the panicking [`run`](Self::run) ignores them).
+    /// Sets deterministic resource limits: [`try_run`](Self::try_run)
+    /// returns a hit as an error, [`run`](Self::run) and
+    /// [`extend`](Self::extend) latch it (and ignore the depth limit).
     pub fn with_budget(mut self, budget: AdversaryBudget) -> Self {
         self.budget = budget;
         self
@@ -460,12 +490,16 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     }
 
     /// Runs `AdvStrategy(k, ∅, ∅, (−∞,∞), (−∞,∞))` and returns the
-    /// outcome.
+    /// outcome. The walk and its checks are [`try_run`](Self::try_run)'s;
+    /// the first abort ends it and is latched in `equivalence_error`,
+    /// and a panic of the summary propagates.
     pub fn run(mut self, k: u32) -> AdversaryOutcome<S> {
         assert!(k >= 1);
         self.reserve_streams(k);
         let whole = Interval::whole();
-        self.adv(k, &whole, &whole);
+        if let Err(abort) = self.try_adv(k, &whole, &whole) {
+            self.equivalence_error.get_or_insert(abort.detail());
+        }
         AdversaryOutcome {
             pi: self.pi,
             rho: self.rho,
@@ -477,8 +511,8 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
         }
     }
 
-    /// Panic-free [`run`](Self::run): executes the same construction
-    /// per item with every summary call guarded, enforces the configured
+    /// Panic-free [`run`](Self::run): walks the same construction under
+    /// a panic guard, enforces the configured
     /// [`AdversaryBudget`], and finishes with a rank-query probe. A
     /// summary that panics, leaves the comparison model, or outlives its
     /// budget yields a typed [`AdversaryError`] carrying the salvaged
@@ -490,15 +524,15 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// [`RankProbe`] data; classify it with
     /// [`AdversaryOutcome::verdict`].
     ///
-    /// Items are fed one at a time, where [`run`](Self::run) feeds each
-    /// leaf as one sorted run, so that an abort is attributable to an
-    /// exact 1-based stream step. For summaries whose bulk path is
-    /// byte-identical to per-item insertion (GK, greedy GK, MRL — see
-    /// `tests/faults_differential.rs` and `tests/batch_equivalence.rs`)
-    /// the construction matches [`run`](Self::run) exactly; summaries whose
-    /// compaction timing depends on insertion granularity (KLL) may
-    /// show slightly different gaps than a batched run.
-    pub fn try_run(mut self, k: u32) -> Result<AdversaryOutcome<S>, AdversaryError> {
+    /// Leaves are fed as one sorted run per stream and checked once, as
+    /// in [`run`](Self::run). A walk that aborts at or after a leaf's
+    /// feed is replayed from clones of the fresh summaries, one guarded
+    /// item at a time, and the replay's error — with the exact `step` —
+    /// is returned. Budget and capacity aborts return directly.
+    pub fn try_run(mut self, k: u32) -> Result<AdversaryOutcome<S>, AdversaryError>
+    where
+        S: Clone,
+    {
         if k < 1 {
             return Err(AdversaryError::InvalidConfig {
                 detail: "recursion depth k must be at least 1".to_string(),
@@ -512,40 +546,46 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                 ),
             });
         }
-        if let Some(max_depth) = self.budget.max_depth {
-            if k > max_depth {
-                let detail = format!("recursion depth {k} exceeds the depth budget of {max_depth}");
-                return Err(self.into_error(TryAbort::Budget { detail }, k));
-            }
+        if let Some(max_depth) = self.budget.max_depth.filter(|&d| k > d) {
+            let detail = format!("recursion depth {k} exceeds the depth budget of {max_depth}");
+            return Err(self.into_error(TryAbort::Budget { detail }, k));
         }
+        // A fresh per-item copy to replay an abort with.
+        let (pi, rho) = (self.pi.summary.inner(), self.rho.summary.inner());
+        let replay =
+            (matches!(self.feed, Feed::Batched) && self.pi.is_empty()).then(|| Adversary {
+                feed: Feed::PerItem,
+                ..Adversary::new(self.eps, pi.clone(), rho.clone())
+                    .with_budget(self.budget)
+                    .with_tie_break(self.tie_break)
+                    .with_stream_repr(self.repr())
+            });
         self.reserve_streams(k);
         let whole = Interval::whole();
-        let walked = {
-            let this = &mut self;
-            // Backstop: the driver's own invariants (treap distinctness,
-            // equal restricted-array lengths, …) are stated as asserts
-            // that a sufficiently mendacious summary can trip; any such
-            // escape is, by construction, evidence the summary left the
-            // model.
-            catch_unwind(AssertUnwindSafe(|| this.try_adv(k, &whole, &whole)))
-        };
-        let walked = match walked {
-            Ok(r) => r,
-            Err(payload) => {
-                let detail = format!(
+        // Backstop for a panic of the unguarded batched feed, or of a
+        // driver assert a lying summary tripped (treap distinctness,
+        // equal restricted-array lengths, …).
+        let walked = catch_unwind(AssertUnwindSafe(|| self.try_adv(k, &whole, &whole)));
+        let abort = match walked {
+            Ok(Ok(_)) => None,
+            Ok(Err(abort)) => Some(abort),
+            Err(payload) => Some(TryAbort::Model {
+                detail: format!(
                     "driver invariant violated mid-run: {}",
                     payload_string(payload)
-                );
-                return Err(self.into_error(TryAbort::Model { detail }, k));
-            }
+                ),
+            }),
         };
-        if let Err(abort) = walked {
+        if let Some(abort) = abort {
+            // An abort at or after a feed is replayed for its exact
+            // step; budget and capacity aborts come before any feed.
+            let fed = !matches!(abort, TryAbort::Budget { .. } | TryAbort::Exhausted { .. });
+            if let Some(Err(e)) = replay.filter(|_| fed).map(|r| r.try_run(k)) {
+                return Err(e);
+            }
             return Err(self.into_error(abort, k));
         }
-        let probed = {
-            let this = &mut self;
-            catch_unwind(AssertUnwindSafe(|| this.final_rank_probe()))
-        };
+        let probed = catch_unwind(AssertUnwindSafe(|| self.final_rank_probe()));
         let probe = match probed {
             Ok(Ok(p)) => p,
             Ok(Err(abort)) => return Err(self.into_error(abort, k)),
@@ -573,9 +613,24 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// of the biased-quantiles phases (Theorem 6.5), which repeatedly
     /// invoke `AdvStrategy(i, π_{i−1}, ϱ_{i−1}, (max(π_{i−1}), ∞), …)`.
     ///
-    /// Returns the final gap info in the given intervals.
+    /// Returns the final gap info in the given intervals. As in
+    /// [`run`](Self::run), the first abort is latched in
+    /// `equivalence_error`; the gap is then measured where it stopped.
     pub fn extend(&mut self, k: u32, iv_pi: &Interval, iv_rho: &Interval) -> GapInfo {
-        self.adv(k, iv_pi, iv_rho)
+        match self.try_adv(k, iv_pi, iv_rho) {
+            Ok(gap) => gap,
+            Err(abort) => {
+                self.equivalence_error.get_or_insert(abort.detail());
+                compute_gap_scratch(
+                    &self.pi,
+                    &self.rho,
+                    iv_pi,
+                    iv_rho,
+                    self.tie_break,
+                    &mut self.gap_scratch,
+                )
+            }
+        }
     }
 
     /// The live π state.
@@ -623,23 +678,7 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
 
     /// One node of the recursion tree; returns the node's final gap info
     /// in its *input* intervals (which is the parent's g′ or g″).
-    fn adv(&mut self, k: u32, iv_pi: &Interval, iv_rho: &Interval) -> GapInfo {
-        let (g_prime, g_dprime) = if k == 1 {
-            self.leaf(iv_pi, iv_rho);
-            (None, None)
-        } else {
-            let left_gap = self.adv(k - 1, iv_pi, iv_rho);
-            let refinement = refine_from(&self.pi, &self.rho, iv_pi, iv_rho, left_gap.clone());
-            let right_gap = self.adv(k - 1, &refinement.iv_pi, &refinement.iv_rho);
-            (Some(left_gap.gap), Some(right_gap.gap))
-        };
-        self.audit_node(k, iv_pi, iv_rho, g_prime, g_dprime)
-    }
-
-    /// Panic-free twin of [`adv`](Self::adv): leaves feed per item with
-    /// every summary call guarded, refinement failures become typed
-    /// aborts, and the audit bookkeeping is shared via
-    /// [`audit_node`](Self::audit_node).
+    /// Refinement failures become typed aborts.
     fn try_adv(
         &mut self,
         k: u32,
@@ -651,15 +690,10 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             (None, None)
         } else {
             let left_gap = self.try_adv(k - 1, iv_pi, iv_rho)?;
-            let refinement =
-                match try_refine_from(&self.pi, &self.rho, iv_pi, iv_rho, left_gap.clone()) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return Err(TryAbort::Model {
-                            detail: e.to_string(),
-                        })
-                    }
-                };
+            let refinement = try_refine_from(&self.pi, &self.rho, iv_pi, iv_rho, left_gap.clone())
+                .map_err(|e| TryAbort::Model {
+                    detail: e.to_string(),
+                })?;
             let right_gap = self.try_adv(k - 1, &refinement.iv_pi, &refinement.iv_rho)?;
             (Some(left_gap.gap), Some(right_gap.gap))
         };
@@ -667,8 +701,7 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     }
 
     /// Computes the node's gap in its input intervals and pushes its
-    /// [`NodeAudit`]; shared by both drivers. Returns the gap info
-    /// (the parent's g′ or g″).
+    /// [`NodeAudit`]. Returns the gap info (the parent's g′ or g″).
     fn audit_node(
         &mut self,
         k: u32,
@@ -686,9 +719,8 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             &mut self.gap_scratch,
         );
         // `try_run` validated N_k at the root; intermediate levels can
-        // only be smaller, so the unwrap is for the panicking `run`
-        // path alone — where `stream_len` itself would already have
-        // panicked with the same message.
+        // only be smaller, so the fallback is for `run` and `extend`
+        // alone — where the report's `stream_len` would panic anyway.
         let n_k = self.eps.try_stream_len(k).unwrap_or(u64::MAX);
         let s_k = gap_now.restricted_len;
         let claim1_ok = match (g_prime, g_dprime) {
@@ -740,41 +772,8 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     }
 
     /// Base case: append 2/ε fresh items inside the current intervals,
-    /// in the same order on both streams.
-    fn leaf(&mut self, iv_pi: &Interval, iv_rho: &Interval) {
-        let n = self.eps.leaf_items() as usize;
-        let (items_pi, items_rho) = self.mint_leaf_runs(iv_pi, iv_rho, n);
-        self.pi.push_run_in(iv_pi, &items_pi);
-        self.rho.push_run_in(iv_rho, &items_rho);
-        if self.equivalence_error.is_none() {
-            self.equivalence_error = self
-                .size_divergence()
-                .or_else(|| self.equiv.check(&self.pi, &self.rho).err());
-        }
-    }
-
-    /// The stored-size divergence probe: compares the two copies' stored
-    /// counts, describing any mismatch.
-    fn size_divergence(&self) -> Option<String> {
-        let (a, b) = (
-            self.pi.summary.stored_count(),
-            self.rho.summary.stored_count(),
-        );
-        if a != b {
-            Some(format!(
-                "|I| diverged at stream position {}: {a} vs {b}",
-                self.pi.len().saturating_sub(1),
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// Panic-free leaf: enforces the step budget up front, indexes the
-    /// run in both treaps (so rank machinery stays coherent even if the
-    /// summary dies mid-run), then feeds item by item with each `insert`
-    /// guarded. After the run: space-understatement probe, the full
-    /// Definition 3.2 check, and the stored-items budget.
+    /// in the same order on both streams, then check the copies once —
+    /// the construction reads the summaries only at leaf boundaries.
     fn try_leaf(&mut self, iv_pi: &Interval, iv_rho: &Interval) -> Result<(), TryAbort> {
         let n = self.eps.leaf_items() as usize;
         if let Some(max_steps) = self.budget.max_steps {
@@ -788,11 +787,8 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                 });
             }
         }
-        // Capacity guards, checked before minting so nothing is wasted
-        // on a doomed leaf. All three are typed `Exhausted` aborts (the
-        // run's prefix is salvaged into a `PartialRun`), never silent
-        // wraparound: the arena mint counter, the implicit run-id
-        // space, and — materialized only — the u32 treap arena links.
+        // Capacity guards, before minting: the arena mint counter, the
+        // implicit run-id space and the materialized u32 arena links.
         if cqs_universe::ids_exhausted() {
             return Err(TryAbort::Exhausted {
                 detail: "label arena mint ids exhausted (2^32 items minted across this \
@@ -820,32 +816,22 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
         let (items_pi, items_rho) = self.mint_leaf_runs(iv_pi, iv_rho, n);
         self.pi.index_run_in(iv_pi, &items_pi);
         self.rho.index_run_in(iv_rho, &items_rho);
-        for (a, b) in items_pi.into_iter().zip(items_rho) {
-            let step = self.pi.len() + 1;
-            let pi = &mut self.pi;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| pi.feed_summary(a))) {
-                return Err(TryAbort::Panicked {
-                    step,
-                    during: "insert",
-                    payload: payload_string(payload),
-                });
+        match self.feed {
+            Feed::Batched => {
+                let peaks = (self.pi.feed_run(&items_pi), self.rho.feed_run(&items_rho));
+                self.size_divergence(peaks)?;
             }
-            let rho = &mut self.rho;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| rho.feed_summary(b))) {
-                return Err(TryAbort::Panicked {
-                    step,
-                    during: "insert",
-                    payload: payload_string(payload),
-                });
-            }
-            if let Some(detail) = self.size_divergence() {
-                return Err(TryAbort::Model { detail });
-            }
+            Feed::PerItem => self.feed_per_item(items_pi, items_rho)?,
         }
-        for (name, st) in [("pi", &self.pi), ("rho", &self.rho)] {
+        // One walk of each item array serves both checks: the Definition
+        // 3.2 check resolves one tag per stored item.
+        let equivalent = self.equiv.check(&self.pi, &self.rho);
+        let walked = self.equiv.walked();
+        for ((name, st), actual) in [("pi", &self.pi), ("rho", &self.rho)]
+            .into_iter()
+            .zip(walked)
+        {
             let claimed = st.summary.stored_count();
-            let mut actual = 0usize;
-            st.summary.for_each_item(&mut |_| actual += 1);
             if claimed < actual {
                 return Err(TryAbort::Model {
                     detail: format!(
@@ -855,7 +841,7 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                 });
             }
         }
-        if let Err(detail) = self.equiv.check(&self.pi, &self.rho) {
+        if let Err(detail) = equivalent {
             return Err(TryAbort::Model { detail });
         }
         if let Some(max_stored) = self.budget.max_stored {
@@ -865,10 +851,51 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                 .max_stored()
                 .max(self.rho.summary.max_stored());
             if peak > max_stored {
-                return Err(TryAbort::Budget {
+                return Err(TryAbort::Stored {
                     detail: format!(
                         "stored-items budget of {max_stored} exceeded: peak |I| = {peak}"
                     ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The replay's feed: each `insert` guarded, sizes compared after
+    /// every step.
+    fn feed_per_item(&mut self, items_pi: Vec<Item>, items_rho: Vec<Item>) -> Result<(), TryAbort> {
+        for (a, b) in items_pi.into_iter().zip(items_rho) {
+            let step = self.pi.len() + 1;
+            for (st, item) in [(&mut self.pi, a), (&mut self.rho, b)] {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| st.feed_summary(item))) {
+                    return Err(TryAbort::Panicked {
+                        step,
+                        during: "insert",
+                        payload: payload_string(payload),
+                    });
+                }
+            }
+            let sizes = (
+                self.pi.summary.stored_count(),
+                self.rho.summary.stored_count(),
+            );
+            self.size_divergence(sizes)?;
+        }
+        Ok(())
+    }
+
+    /// Compares the copies' stored counts, then their peaks over the
+    /// last feed: equal final sizes can hide a divergence mid-run.
+    fn size_divergence(&self, peaks: (usize, usize)) -> Result<(), TryAbort> {
+        let sizes = (
+            self.pi.summary.stored_count(),
+            self.rho.summary.stored_count(),
+        );
+        for (what, (a, b)) in [("|I|", sizes), ("peak |I|", peaks)] {
+            if a != b {
+                let at = self.pi.len().saturating_sub(1);
+                return Err(TryAbort::Model {
+                    detail: format!("{what} diverged at stream position {at}: {a} vs {b}"),
                 });
             }
         }
@@ -971,7 +998,9 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                 partial,
             },
             TryAbort::Model { detail } => AdversaryError::ModelViolation { detail, partial },
-            TryAbort::Budget { detail } => AdversaryError::BudgetExhausted { detail, partial },
+            TryAbort::Budget { detail } | TryAbort::Stored { detail } => {
+                AdversaryError::BudgetExhausted { detail, partial }
+            }
             TryAbort::Exhausted { detail } => AdversaryError::CapacityExhausted { detail, partial },
         }
     }
@@ -996,7 +1025,7 @@ impl<S: ComparisonSummary<Item>> AdversaryOutcome<S> {
     }
 
     /// Classifies a finished run: [`RunVerdict::ModelViolation`] if
-    /// indistinguishability broke (legacy driver latching),
+    /// `run` or `extend` latched an abort in `equivalence_error`,
     /// [`RunVerdict::SummaryIncorrect`] if the final gap burst Lemma
     /// 3.4's ceiling or the rank probe (when present) measured an error
     /// beyond εN, [`RunVerdict::Completed`] otherwise.
@@ -1068,7 +1097,7 @@ pub fn try_run_adversary<S, F>(
     mut make: F,
 ) -> Result<AdversaryOutcome<S>, AdversaryError>
 where
-    S: ComparisonSummary<Item>,
+    S: ComparisonSummary<Item> + Clone,
     F: FnMut() -> S,
 {
     Adversary::new(eps, make(), make()).try_run(k)
@@ -1086,7 +1115,7 @@ pub fn try_run_adversary_repr<S, F>(
     mut make: F,
 ) -> Result<AdversaryOutcome<S>, AdversaryError>
 where
-    S: ComparisonSummary<Item>,
+    S: ComparisonSummary<Item> + Clone,
     F: FnMut() -> S,
 {
     Adversary::new(eps, make(), make())
@@ -1343,5 +1372,114 @@ mod tests {
                 .unwrap();
         assert_eq!(implicit.verdict(), RunVerdict::SummaryIncorrect);
         assert_eq!(implicit.report(), classic.report());
+    }
+
+    #[test]
+    fn per_item_feed_matches_the_batched_walk() {
+        // The replay's feed must rebuild exactly the batched walk for a
+        // summary that behaves: same audits, same report.
+        let eps = Eps::from_inverse(8);
+        let per_item = |make: fn() -> DecimatedSummary<Item>| {
+            let mut adv = Adversary::new(eps, make(), make());
+            adv.feed = Feed::PerItem;
+            adv.run(5)
+        };
+        for make in [|| DecimatedSummary::new(3), || DecimatedSummary::new(12)] {
+            let batched = run_adversary(eps, 5, make);
+            let replayed = per_item(make);
+            assert_eq!(replayed.audits, batched.audits);
+            assert_eq!(replayed.report(), batched.report());
+            assert!(replayed.equivalence_error.is_none());
+        }
+    }
+
+    /// The exact summary, made to panic on the `panic_at`-th insert or
+    /// to under-report `|I|` by one from the `understate_from`-th on.
+    #[derive(Clone)]
+    struct Misbehaving {
+        inner: ExactSummary<Item>,
+        panic_at: Option<u64>,
+        understate_from: Option<u64>,
+    }
+
+    impl ComparisonSummary<Item> for Misbehaving {
+        fn insert(&mut self, item: Item) {
+            if self.panic_at == Some(self.inner.items_processed() + 1) {
+                panic!("misbehaving insert");
+            }
+            self.inner.insert(item);
+        }
+
+        fn item_array(&self) -> Vec<Item> {
+            self.inner.item_array()
+        }
+
+        fn stored_count(&self) -> usize {
+            let n = self.inner.stored_count();
+            match self.understate_from {
+                Some(at) if self.inner.items_processed() >= at => n - 1,
+                _ => n,
+            }
+        }
+
+        fn items_processed(&self) -> u64 {
+            self.inner.items_processed()
+        }
+
+        fn query_rank(&self, r: u64) -> Option<Item> {
+            self.inner.query_rank(r)
+        }
+    }
+
+    #[test]
+    fn run_latches_the_first_abort_and_stops_there() {
+        let eps = Eps::from_inverse(8);
+        let make = || Misbehaving {
+            inner: ExactSummary::new(),
+            panic_at: None,
+            understate_from: Some(40),
+        };
+        let out = run_adversary(eps, 4, make);
+        let reason = out.equivalence_error.as_deref().expect("abort latched");
+        assert!(reason.contains("understates"), "{reason}");
+        // The third leaf (items 33..48) is the first to end past step
+        // 40: its two leaf audits and one level-2 audit precede it.
+        assert_eq!(out.audits.len(), 3);
+        assert_eq!(out.pi.len(), 48);
+        assert_eq!(out.verdict(), RunVerdict::ModelViolation);
+        let err = try_run_adversary(eps, 4, make).unwrap_err();
+        assert!(
+            matches!(err, AdversaryError::ModelViolation { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn try_run_replays_a_batched_panic_to_its_exact_step() {
+        // The batched leaf feeds 16 items unguarded; the replay pins the
+        // panic to its step and salvages the items fed before it.
+        let eps = Eps::from_inverse(8);
+        let make = || Misbehaving {
+            inner: ExactSummary::new(),
+            panic_at: Some(21),
+            understate_from: None,
+        };
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let err = try_run_adversary(eps, 4, make).unwrap_err();
+        std::panic::set_hook(hook);
+        match err {
+            AdversaryError::SummaryPanicked {
+                step,
+                during,
+                partial,
+                ..
+            } => {
+                assert_eq!((step, during), (21, "insert"));
+                assert_eq!(partial.items_fed, 20);
+                assert_eq!(partial.audits.len(), 1, "the first leaf completed");
+            }
+            other => panic!("wrong variant: {other}"),
+        }
     }
 }

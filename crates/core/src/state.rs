@@ -236,8 +236,8 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     pub fn push(&mut self, item: Item) {
         let OrderIndex::Materialized(order) = &mut self.order else {
             // Per-item appends carry no interval, which the implicit
-            // index needs to register a run; the adversary rejects
-            // per-item insertion mode on implicit streams up front.
+            // index needs to register a run; the adversary appends
+            // whole runs (`index_run_in`) on every stream.
             panic!("per-item push requires a materialized stream");
         };
         self.max_label_depth = self.max_label_depth.max(item.depth());
@@ -269,19 +269,18 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// is not strictly increasing or its span overlaps existing items.
     pub fn push_run_in(&mut self, iv: &Interval, run: &[Item]) -> usize {
         self.index_run_in(iv, run);
-        let peak = self.summary.insert_sorted_run(run);
-        self.n += run.len() as u64;
-        peak
+        self.feed_run(run)
     }
 
     /// Indexes a strictly increasing run of fresh items, minted inside
     /// `iv`, in the order index *without* feeding the summary or
     /// advancing the stream length — the first half of
-    /// [`push_run_in`](Self::push_run_in), split out for the panic-free
-    /// driver: the index must know the items before any summary call so
+    /// [`push_run_in`](Self::push_run_in), split out for the adversary:
+    /// both indexes must know their items before any summary call so
     /// that, when the summary panics mid-run, rank/next/prev queries for
-    /// the partial audit trail stay coherent. Follow up with
-    /// [`feed_summary`](Self::feed_summary) per item.
+    /// the partial audit trail stay coherent. The summary is then fed
+    /// the run at once, or per item through
+    /// [`feed_summary`](Self::feed_summary).
     ///
     /// # Panics
     ///
@@ -332,6 +331,17 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
             OrderIndex::Materialized(_) => false,
             OrderIndex::Implicit(imp) => imp.runs_exhausted(),
         }
+    }
+
+    /// Feeds a run (already indexed via [`index_run_in`](Self::index_run_in))
+    /// to the summary as one [`ComparisonSummary::insert_sorted_run`]
+    /// and advances the stream length by its size — the second half of
+    /// [`push_run_in`](Self::push_run_in). Returns the largest `|I|` the
+    /// summary reported at any point of the run.
+    pub(crate) fn feed_run(&mut self, run: &[Item]) -> usize {
+        let peak = self.summary.insert_sorted_run(run);
+        self.n += run.len() as u64;
+        peak
     }
 
     /// Feeds one item (already indexed via [`index_run_in`](Self::index_run_in))
@@ -685,14 +695,17 @@ impl EquivalenceChecker {
         pi: &StreamState<S>,
         rho: &StreamState<S>,
     ) -> Result<(), String> {
-        let ok = resolve_side_streaming(
+        // Both sides are always walked, so `walked` counts each array
+        // even when the π side is anomalous.
+        let ok_pi = resolve_side_streaming(
             pi,
             &mut self.tag_pi,
             &mut self.tags_pi,
             &mut self.misses,
             &mut self.miss_pos,
             &mut self.miss_tags,
-        ) && resolve_side_streaming(
+        );
+        let ok_rho = resolve_side_streaming(
             rho,
             &mut self.tag_rho,
             &mut self.tags_rho,
@@ -702,13 +715,22 @@ impl EquivalenceChecker {
         );
         // Equal tag sequences imply equal array sizes (one tag per
         // stored item), so this is the whole Definition 3.2 condition.
-        if ok && self.tags_pi == self.tags_rho {
+        if ok_pi && ok_rho && self.tags_pi == self.tags_rho {
             return Ok(());
         }
         // Anomaly: let the reference walk produce the diagnostic. The
         // tag tables stay — a memoized tag is an immutable fact about
         // its stream, never stale.
         check_indistinguishable(pi, rho)
+    }
+
+    /// How many items each side's summary enumerated during the last
+    /// [`check`](Self::check), as `[π, ϱ]`: the walk resolves one tag
+    /// per stored item, so this is the true size of each item array
+    /// whatever `stored_count` claims. Both are 0 before the first
+    /// check.
+    pub(crate) fn walked(&self) -> [usize; 2] {
+        [self.tags_pi.len(), self.tags_rho.len()]
     }
 }
 

@@ -178,7 +178,10 @@ fn peeks_and_drops<T: Hash>(seed: u64, item: &T) -> bool {
 
 /// A [`ComparisonSummary`] wrapper that injects the faults of a
 /// [`FaultPlan`] at deterministic step counts. See the crate docs for
-/// the fault taxonomy and the poisoning semantics.
+/// the fault taxonomy and the poisoning semantics. A clone carries the
+/// fault clock and poisoning with it, so a clone taken before any item
+/// replays the same faults at the same steps.
+#[derive(Clone)]
 pub struct FaultySummary<S> {
     inner: S,
     plan: FaultPlan,

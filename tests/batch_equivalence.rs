@@ -8,6 +8,8 @@ use cqs::prelude::*;
 use cqs_core::adversary::Adversary;
 use cqs_core::reference::ExactSummary;
 use cqs_gk::{GkSummary, GreedyGk};
+use cqs_kll::KllSketch;
+use cqs_mrl::MrlSummary;
 use cqs_ostree::OsTree;
 use cqs_streams::{workload, Workload};
 
@@ -179,11 +181,56 @@ fn gk_batch_insert_handles_duplicate_values() {
     }
 }
 
+/// A forwarder that keeps the trait's default `insert_sorted_run` — one
+/// `insert` per item, polling `stored_count` after each — so it feeds
+/// the wrapped summary exactly as per-item insertion would, whatever
+/// bulk path the summary itself has.
+struct PerItem<S>(S);
+
+impl<S: ComparisonSummary<Item>> ComparisonSummary<Item> for PerItem<S> {
+    fn insert(&mut self, item: Item) {
+        self.0.insert(item);
+    }
+
+    fn item_array(&self) -> Vec<Item> {
+        self.0.item_array()
+    }
+
+    fn for_each_item(&self, f: &mut dyn FnMut(&Item)) {
+        self.0.for_each_item(f)
+    }
+
+    fn for_each_item_between(
+        &self,
+        lo: Option<&Item>,
+        hi: Option<&Item>,
+        f: &mut dyn FnMut(&Item),
+    ) {
+        self.0.for_each_item_between(lo, hi, f)
+    }
+
+    fn stored_count(&self) -> usize {
+        self.0.stored_count()
+    }
+
+    fn items_processed(&self) -> u64 {
+        self.0.items_processed()
+    }
+
+    fn query_rank(&self, r: u64) -> Option<Item> {
+        self.0.query_rank(r)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
 /// The adversary's batched leaves must leave *no trace* in the audits:
 /// every recursion-tree node's record — gaps, S_k, Claim 1, Lemma 5.2,
-/// the space-gap RHS — is byte-identical to the per-item run of the
-/// panic-free driver (`try_run` feeds one item at a time), as is the
-/// flat report.
+/// the space-gap RHS — is byte-identical to a run whose summaries are
+/// fed one item at a time (the [`PerItem`] forwarder), as is the flat
+/// report.
 fn assert_adversary_modes_agree<S, F>(label: &str, eps_inv: u64, k: u32, make: F)
 where
     S: ComparisonSummary<Item>,
@@ -191,9 +238,7 @@ where
 {
     let eps = Eps::from_inverse(eps_inv);
     let batched = Adversary::new(eps, make(), make()).run(k);
-    let per_item = Adversary::new(eps, make(), make())
-        .try_run(k)
-        .unwrap_or_else(|e| panic!("{label}: per-item run aborted: {e}"));
+    let per_item = Adversary::new(eps, PerItem(make()), PerItem(make())).run(k);
     assert_eq!(
         format!("{:?}", batched.audits),
         format!("{:?}", per_item.audits),
@@ -206,6 +251,7 @@ where
         "{label}: reports diverged"
     );
     assert!(rb.equivalence_ok, "{label}: batched run broke equivalence");
+    assert!(rp.equivalence_ok, "{label}: per-item run broke equivalence");
 }
 
 #[test]
@@ -214,4 +260,11 @@ fn adversary_audits_identical_across_insert_modes() {
     assert_adversary_modes_agree("gk", 16, 4, || GkSummary::<Item>::new(1.0 / 16.0));
     assert_adversary_modes_agree("gk", 8, 5, || GkSummary::<Item>::new(1.0 / 8.0));
     assert_adversary_modes_agree("gk-greedy", 16, 4, || GreedyGk::<Item>::new(1.0 / 16.0));
+    // The `kll-fixed` sweep target's configuration: k = max(4/ε, 8).
+    for (inv, k) in [(16u64, 6u32), (64, 8)] {
+        let kcap = (4 * inv as usize).max(8);
+        assert_adversary_modes_agree("kll", inv, k, || KllSketch::<Item>::with_seed(kcap, 0xD1CE));
+    }
+    let n = Eps::from_inverse(16).stream_len(5);
+    assert_adversary_modes_agree("mrl", 16, 5, || MrlSummary::<Item>::new(1.0 / 16.0, n));
 }

@@ -13,7 +13,7 @@ const K: u32 = 4;
 
 fn assert_transparent<S, F>(name: &str, inv: u64, make: F)
 where
-    S: ComparisonSummary<Item>,
+    S: ComparisonSummary<Item> + Clone,
     F: Fn() -> S,
 {
     let eps = Eps::from_inverse(inv);

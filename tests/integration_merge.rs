@@ -121,6 +121,34 @@ fn gk_merge_with_empty_and_into_empty() {
 }
 
 #[test]
+fn ckms_merge_with_empty_and_into_empty() {
+    for bias in [Bias::Low, Bias::High] {
+        let mut a = CkmsSummary::with_bias(0.01, bias);
+        let b = CkmsSummary::with_bias(0.01, bias);
+        for v in 1..=1000u64 {
+            a.insert(v);
+        }
+        let before = a.items_processed();
+        a.try_merge(&b).expect("merging an empty summary");
+        assert_eq!(a.items_processed(), before);
+
+        let mut c = CkmsSummary::with_bias(0.01, bias);
+        c.try_merge(&a).expect("merging into an empty summary");
+        assert_eq!(c.items_processed(), 1000);
+        assert_eq!(c.query_rank(1), Some(1));
+        // An empty `self` adopts the composed ε and, with it, the
+        // canonical compress period a fresh summary at that ε would use.
+        assert_eq!(
+            c.snapshot_parts().4,
+            CkmsSummary::<u64>::with_bias(c.eps(), bias)
+                .snapshot_parts()
+                .4,
+            "{bias:?}: stale compress period after merging into an empty summary"
+        );
+    }
+}
+
+#[test]
 fn kll_merge_matches_single_stream_accuracy() {
     let n = 60_000u64;
     let vals = shuffled(n, 3);
